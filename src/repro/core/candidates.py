@@ -195,7 +195,10 @@ class CandidateSet:
         return location.site in self._by_delay
 
     def pairs_for_delay_location(self, location: Location) -> List[CandidatePair]:
-        bucket = self._by_delay.get(location.site)
+        return self.pairs_for_delay_site(location.site)
+
+    def pairs_for_delay_site(self, site: str) -> List[CandidatePair]:
+        bucket = self._by_delay.get(site)
         return list(bucket.values()) if bucket else []
 
     def pairs_watching(self, location: Location) -> List[CandidatePair]:

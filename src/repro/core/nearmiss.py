@@ -101,21 +101,25 @@ class NearMissTracker:
         while window and window[0].timestamp < horizon:
             window.popleft()
 
-        if not window:
+        access_type = event.access_type
+        if not window or access_type is AccessType.INIT:
+            # No near-miss pattern ends in an INIT.
             window.append(event)
             return self._NO_PAIRS
 
+        # A USE closes only INIT -> USE, a DISPOSE only USE -> DISPOSE
+        # (CandidateKind.from_access_pair).
+        if access_type is AccessType.USE:
+            opener, kind = AccessType.INIT, CandidateKind.USE_BEFORE_INIT
+        else:
+            opener, kind = AccessType.USE, CandidateKind.USE_AFTER_FREE
         thread_id = event.thread_id
-        access_type = event.access_type
         order_filter = self.order_filter
         candidates = self.candidates
         on_pair = self.on_pair
         added: List[CandidatePair] = []
         for earlier in window:
-            if earlier.thread_id == thread_id:
-                continue
-            kind = CandidateKind.from_access_pair(earlier.access_type, access_type)
-            if kind is None:
+            if earlier.access_type is not opener or earlier.thread_id == thread_id:
                 continue
             if order_filter is not None and order_filter(earlier, event):
                 candidates.pruned_parent_child += 1

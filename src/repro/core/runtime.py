@@ -477,7 +477,9 @@ class OnlineInjectionHook(_BaseInjectionHook):
         if not self._windows:
             return
         ts = event.timestamp
+        site = event.location.site
         grace = self.config.hb_inference_grace_ms
+        engine = self.engine
         stale: List[str] = []
         for l1_site, (start, end, tid, seen_during) in self._windows.items():
             if ts > end + grace:
@@ -486,22 +488,19 @@ class OnlineInjectionHook(_BaseInjectionHook):
             if event.thread_id == tid:
                 continue
             if start <= ts < end:
-                seen_during.add(event.location.site)
-            elif end <= ts <= end + grace and event.location.site not in seen_during:
-                from ..sim.instrument import Location
-
-                l1 = Location(l1_site)
-                for pair in self.engine.candidates.pairs_for_delay_location(l1):
-                    if pair.other_location == event.location:
-                        self.engine.candidates.remove(pair, reason="hb_inference")
-                        self.engine.candidates.pruned_hb_inference += 1
-                        if self.engine._obs is not None:
-                            self.engine._obs.c_pruned_hb.inc()
-                        if self.engine._fr is not None:
-                            self.engine._fr.record(
+                seen_during.add(site)
+            elif end <= ts <= end + grace and site not in seen_during:
+                for pair in engine.candidates.pairs_for_delay_site(l1_site):
+                    if pair.other_location.site == site:
+                        engine.candidates.remove(pair, reason="hb_inference")
+                        engine.candidates.pruned_hb_inference += 1
+                        if engine._obs is not None:
+                            engine._obs.c_pruned_hb.inc()
+                        if engine._fr is not None:
+                            engine._fr.record(
                                 "prune_hb", ts,
                                 delay_site=l1_site,
-                                other_site=event.location.site,
+                                other_site=site,
                                 window=[round(start, 4), round(end, 4)],
                             )
         for site in stale:

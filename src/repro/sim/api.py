@@ -19,8 +19,9 @@ time).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Callable, Dict, Generator, Iterable, Optional, Union
 
+from . import instrument
 from .errors import NullReferenceError
 from .instrument import (
     AccessEvent,
@@ -28,7 +29,6 @@ from .instrument import (
     CostModel,
     InstrumentationHook,
     Location,
-    PendingAccess,
 )
 from .refs import HeapObject, Ref
 from .scheduler import RunResult, Scheduler, Sleep, YIELD
@@ -37,12 +37,6 @@ from .thread import SimThread
 from .unsafe_api import ActiveCallTable, UnsafeCollection, UnsafeDict, UnsafeList
 
 LocationLike = Union[str, Location]
-
-
-def _loc(value: LocationLike) -> Location:
-    if isinstance(value, Location):
-        return value
-    return Location(str(value))
 
 
 class Simulation:
@@ -66,6 +60,16 @@ class Simulation:
             stop_on_failure=stop_on_failure,
         )
         self._unsafe_calls = ActiveCallTable()
+        #: Interned sites: one Location per label for this simulation.
+        self._locations: Dict[str, Location] = {}
+
+    def _loc(self, value: LocationLike) -> Location:
+        if isinstance(value, Location):
+            return value
+        location = self._locations.get(value)
+        if location is None:
+            location = self._locations[value] = Location(str(value))
+        return location
 
     # ------------------------------------------------------------------
     # Introspection
@@ -221,7 +225,7 @@ class Simulation:
         **disposal** (section 3.1). non-null -> non-null re-assignment is
         treated as an initialization of the new object.
         """
-        location = _loc(loc)
+        location = self._loc(loc)
         old = ref.value
         if obj is None:
             if old is None:
@@ -252,7 +256,7 @@ class Simulation:
         Either way the failure surfaces as a null-reference-class error,
         matching the paper's oracle.
         """
-        location = _loc(loc)
+        location = self._loc(loc)
         target = ref.value
         if target is None:
             # Disposing through a null reference is itself a faulty use.
@@ -286,21 +290,14 @@ class Simulation:
         a MemOrder bug: push the use past the disposal, or the
         initialization past the use.
         """
-        location = _loc(loc)
-        object_id = ref.value.oid if ref.value is not None else -1
-        thread_name = self.current_thread.name
-
-        def action() -> HeapObject:
-            return ref.require(location=location, thread_name=thread_name)
-
+        value = ref.value
         obj = yield from self._instrumented(
-            location,
+            self._loc(loc),
             AccessType.USE,
-            object_id,
+            value.oid if value is not None else -1,
             ref.name,
             member,
-            action,
-            oid_from_result=True,
+            deref=ref,
         )
         if duration > 0:
             yield Sleep(duration)
@@ -341,54 +338,33 @@ class Simulation:
         Overlapping windows on the same object from different threads
         are recorded as thread-safety violations (the Tsvd oracle).
         """
-        location = _loc(loc)
-        sched = self.scheduler
+        location = self._loc(loc)
         thread = self.current_thread
-        pending = PendingAccess(
+        clock = self.scheduler.clock
+        calls = self._unsafe_calls
+        oid = collection.oid
+
+        def action() -> None:
+            start = clock.now
+            calls.begin(oid, thread.tid, location, start, start + duration)
+
+        yield from self._instrumented(
             location,
             AccessType.UNSAFE_CALL,
-            collection.oid,
-            thread.tid,
-            sched.clock.now,
-            ref_name=collection.type_name,
-            member=api,
-        )
-        injected = self._maybe_delay(pending)
-        if injected > 0:
-            yield Sleep(injected)
-        cost = sched.cost_model.sample_op_cost(sched.rng) + sched.hook.per_op_overhead_ms
-        yield Sleep(cost)
-        start = sched.clock.now
-        self._unsafe_calls.begin(collection.oid, thread.tid, location, start, start + duration)
-        event = AccessEvent(
-            location=location,
-            access_type=AccessType.UNSAFE_CALL,
-            object_id=collection.oid,
-            thread_id=thread.tid,
-            timestamp=start,
-            ref_name=collection.type_name,
-            member=api,
+            oid,
+            collection.type_name,
+            api,
+            action,
             duration=duration,
-            injected_delay=injected,
         )
-        sched.hook.after_access(event)
-        self.scheduler.result.op_count += 1
         if duration > 0:
             yield Sleep(duration)
-        self._unsafe_calls.end(collection.oid, thread.tid, location)
+        calls.end(oid, thread.tid, location)
         return collection.apply(api, *args)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _maybe_delay(self, pending: PendingAccess) -> float:
-        delay = self.scheduler.hook.before_access(pending)
-        try:
-            delay = float(delay)
-        except (TypeError, ValueError):
-            raise TypeError("hook.before_access must return a number, got %r" % (delay,))
-        return max(0.0, delay)
 
     def _instrumented(
         self,
@@ -397,59 +373,68 @@ class Simulation:
         object_id: int,
         ref_name: str,
         member: str,
-        action,
-        oid_from_result: bool = False,
+        action: Optional[Callable[[], Any]] = None,
+        deref: Optional[Ref] = None,
+        duration: float = 0.0,
     ) -> Generator[Any, Any, Any]:
-        """Common path of every instrumented MemOrder-surface operation.
+        """Common path of every instrumented operation.
 
         Order of events (matching the instrumented proxy functions of
         section 5): consult the hook -> optionally sleep the injected
         delay -> pay the operation's execution cost -> execute -> report
         the final event to the hook.
 
-        ``oid_from_result`` re-resolves the event's object id from the
-        action's result: a delayed USE may start while the reference is
-        still null (object id unknown) but execute after an
+        One :class:`AccessEvent` serves the whole operation: the hook's
+        ``before_access`` sees it with the pre-delay timestamp, then the
+        injected delay, the post-cost timestamp and the event id are
+        filled in. The id is drawn after the cost sleep, in execution
+        order, because traces break timestamp ties by it.
+
+        The operation executes ``action()``, or for a USE dereferences
+        ``deref``. A USE re-resolves the event's object id from the
+        dereferenced object: a delayed USE may start while the reference
+        is still null (object id unknown) but execute after an
         initialization landed -- the recorded event must carry the
-        identity observed at *execution* time.
+        identity observed at *execution* time. ``duration`` is the
+        execution window of an UNSAFE_CALL, which its caller sleeps.
         """
         sched = self.scheduler
-        thread = self.current_thread
-        pending = PendingAccess(
-            location,
-            access_type,
-            object_id,
-            thread.tid,
-            sched.clock.now,
-            ref_name=ref_name,
-            member=member,
-        )
-        injected = self._maybe_delay(pending)
-        if injected > 0:
-            yield Sleep(injected)
-        cost = sched.cost_model.sample_op_cost(sched.rng) + sched.hook.per_op_overhead_ms
-        yield Sleep(cost)
+        thread = sched.current
+        if thread is None:
+            raise RuntimeError("no simulated thread is currently running")
+        hook = sched.hook
+        clock = sched.clock
         event = AccessEvent(
-            location=location,
-            access_type=access_type,
-            object_id=object_id,
-            thread_id=thread.tid,
-            timestamp=sched.clock.now,
-            ref_name=ref_name,
-            member=member,
-            injected_delay=injected,
+            location, access_type, object_id, thread.tid, clock.now,
+            ref_name, member, duration, 0.0, None, -1,
         )
-        self.scheduler.result.op_count += 1
+        delay = hook.before_access(event)
+        if delay.__class__ is not float:
+            try:
+                delay = float(delay)
+            except (TypeError, ValueError):
+                raise TypeError("hook.before_access must return a number, got %r" % (delay,))
+        if delay > 0.0:
+            event.injected_delay = delay
+            yield Sleep(delay)
+        yield Sleep(sched.cost_model.sample_op_cost(sched.rng) + hook.per_op_overhead_ms)
+        event.timestamp = clock.now
+        # Through the module, so a reset of the id stream takes effect.
+        event.event_id = next(instrument._event_seq)
+        sched.result.op_count += 1
         try:
-            result = action()
+            if deref is None:
+                result = action()
+            else:
+                result = deref.require(location=location, thread_name=thread.name)
         except NullReferenceError:
             # The faulting access is still reported to the hook: the
             # runtime needs it to attribute the manifestation to the
             # delays it injected (section 5's bug reports).
             event.object_id = -1
-            sched.hook.after_access(event)
+            hook.after_access(event)
             raise
-        if oid_from_result and isinstance(result, HeapObject):
+        if deref is not None and isinstance(result, HeapObject):
             event.object_id = result.oid
-        sched.hook.after_access(event)
+        hook.after_access(event)
         return result

@@ -117,6 +117,11 @@ class PendingAccess:
     access type and thread -- the same information TSVD and Waffle see at
     a proxy-function entry. The timestamp is the time at which the
     operation would start if no delay is injected.
+
+    These are the fields ``before_access`` may read. The simulator
+    passes the operation's :class:`AccessEvent`, which has all of them;
+    this record is for callers that consult a hook without one (the
+    real-thread runtime, tests).
     """
 
     location: Location
@@ -154,7 +159,16 @@ class InstrumentationHook:
         """Called when a simulated thread finishes (normally or not)."""
 
     def before_access(self, pending: PendingAccess) -> float:
-        """Return the delay (ms) to inject before the operation; 0 for none."""
+        """Return the delay (ms) to inject before the operation; 0 for none.
+
+        The simulator passes the operation's own :class:`AccessEvent`,
+        which carries every :class:`PendingAccess` field; its
+        ``timestamp`` is the pre-delay start time. The simulator fills in
+        ``injected_delay``, the post-cost ``timestamp`` and ``event_id``
+        afterwards, so a hook copies the fields it needs and never keeps
+        the object. A non-numeric return is a ``TypeError``; a negative
+        one means no delay.
+        """
         return 0.0
 
     def after_access(self, event: AccessEvent) -> None:
@@ -197,4 +211,5 @@ class CostModel:
             return self.op_cost_ms
         lo = 1.0 - self.jitter_frac
         hi = 1.0 + self.jitter_frac
-        return self.op_cost_ms * rng.uniform(lo, hi)
+        # ``rng.uniform(lo, hi)``'s own arithmetic, without the call.
+        return self.op_cost_ms * (lo + (hi - lo) * rng.random())

@@ -27,7 +27,7 @@ from .. import obs
 from .clock import VirtualClock
 from .errors import DeadlockError, SimulationTimeout
 from .instrument import CostModel, InstrumentationHook, NoopHook
-from .thread import SimThread, ThreadState
+from .thread import TERMINAL_STATES, SimThread, ThreadState
 
 
 class Command:
@@ -42,7 +42,8 @@ class Sleep(Command):
     __slots__ = ("duration_ms",)
 
     def __init__(self, duration_ms: float):
-        self.duration_ms = max(0.0, float(duration_ms))
+        duration_ms = float(duration_ms)
+        self.duration_ms = duration_ms if duration_ms > 0.0 else 0.0
 
 
 class Block(Command):
@@ -80,6 +81,10 @@ class RunResult:
         #: Times the scheduler resumed a different thread than the one
         #: it last ran -- the virtual-time analogue of a context switch.
         self.context_switches: int = 0
+        #: Deterministic work counters: scheduler steps, and pushes onto
+        #: the run queue's heap (spawns, wakes and queued sleeps).
+        self.steps: int = 0
+        self.heap_pushes: int = 0
         self.tsv_occurrences: List[Any] = []
 
     @property
@@ -141,6 +146,7 @@ class Scheduler:
 
         self._queue: List[Tuple[float, int, SimThread]] = []
         self._seq = itertools.count()
+        self._pushes = 0
         self._tid_counter = itertools.count(1)
         self.threads: Dict[int, SimThread] = {}
         self.current: Optional[SimThread] = None
@@ -189,6 +195,7 @@ class Scheduler:
         self._push(thread, self.clock.now if at is None else at)
 
     def _push(self, thread: SimThread, wake_time: float) -> None:
+        self._pushes += 1
         heapq.heappush(self._queue, (wake_time, next(self._seq), thread))
 
     # ------------------------------------------------------------------
@@ -196,70 +203,129 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Drive all threads until completion, deadlock, crash or timeout."""
+        """Drive all threads until completion, deadlock, crash or timeout.
+
+        Run-ahead: when the thread just stepped goes back to sleep with a
+        wake time strictly before the queue head, or the queue is empty,
+        the next pop would hand that same thread straight back. It is
+        stepped again inline instead, skipping the push and pop. A tie
+        with the head goes through the heap, where the older entry wins
+        on ``seq``. Every inline step counts toward ``max_steps`` and
+        passes the same time-limit, stop and context-switch checks, at
+        the same step and virtual time, as a popped one.
+        """
         self.hook.on_run_start(self)
+        queue = self._queue
+        clock = self.clock
+        result = self.result
+        time_limit_ms = self.time_limit_ms
+        max_steps = self.max_steps
+        step = self._step
         steps = 0
         try:
-            while self._queue and not self._stopping:
+            while queue and not self._stopping:
                 steps += 1
-                if steps > self.max_steps:
+                if steps > max_steps:
                     raise SimulationTimeout(
-                        "exceeded %d scheduler steps" % self.max_steps, self.clock.now
+                        "exceeded %d scheduler steps" % max_steps, clock.now
                     )
-                wake_time, _, thread = heapq.heappop(self._queue)
-                if thread.state.is_terminal:
+                wake_time, _, thread = heapq.heappop(queue)
+                if thread.state in TERMINAL_STATES:
                     continue
-                self.clock.advance_to(wake_time)
-                if self.clock.now > self.time_limit_ms:
-                    self.result.timed_out = True
+                while True:
+                    now = clock.advance_to(wake_time)
+                    if now > time_limit_ms:
+                        result.timed_out = True
+                        break
+                    if thread is not self._last_run:
+                        result.context_switches += 1
+                        self._last_run = thread
+                        if self._fr is not None:
+                            self._fr.record("switch", now, tid=thread.tid)
+                    wake_time = step(thread)
+                    if wake_time is None:
+                        break
+                    if self._stopping or (queue and queue[0][0] <= wake_time):
+                        self._push(thread, wake_time)
+                        break
+                    steps += 1
+                    if steps > max_steps:
+                        self._push(thread, wake_time)
+                        raise SimulationTimeout(
+                            "exceeded %d scheduler steps" % max_steps, clock.now
+                        )
+                if result.timed_out:
                     break
-                if thread is not self._last_run:
-                    self.result.context_switches += 1
-                    self._last_run = thread
-                    if self._fr is not None:
-                        self._fr.record("switch", self.clock.now, tid=thread.tid)
-                self._step(thread)
-            if not self._stopping and not self.result.timed_out:
+            if not self._stopping and not result.timed_out:
                 self._check_deadlock()
         except SimulationTimeout:
-            self.result.timed_out = True
+            result.timed_out = True
         finally:
-            self.result.virtual_time = self.clock.now
+            result.steps = steps
+            result.heap_pushes = self._pushes
+            result.virtual_time = clock.now
             self.hook.on_run_end(self)
             if self._obs is not None:
                 self._obs.c_sched_runs.inc()
-                self._obs.c_context_switches.inc(self.result.context_switches)
-                self._obs.g_virtual_ms.set(self.result.virtual_time)
-                self._obs.g_virtual_ms_total.add(self.result.virtual_time)
-        return self.result
+                self._obs.c_context_switches.inc(result.context_switches)
+                self._obs.g_virtual_ms.set(result.virtual_time)
+                self._obs.g_virtual_ms_total.add(result.virtual_time)
+            self._close_threads()
+        return result
 
-    def _step(self, thread: SimThread) -> None:
-        """Resume ``thread`` until its next yield and act on the command."""
+    def _step(self, thread: SimThread) -> Optional[float]:
+        """Resume ``thread`` until its next yield and act on the command.
+
+        Returns the wake time of a thread that went back to sleep (or
+        yielded) without queueing it -- :meth:`run` either steps it again
+        inline or pushes it -- and ``None`` when the thread blocked or
+        terminated.
+        """
         self.current = thread
         try:
             command = thread.gen.send(None)
         except StopIteration as stop:
             self._finish(thread, result=getattr(stop, "value", None))
-            return
+            return None
         except BaseException as exc:  # noqa: BLE001 - faithful crash capture
             self._fail(thread, exc)
-            return
+            return None
         finally:
             self.current = None
 
         if isinstance(command, Sleep):
             thread.state = ThreadState.SLEEPING
-            self._push(thread, self.clock.now + command.duration_ms)
-        elif isinstance(command, Block):
+            return self.clock.now + command.duration_ms
+        if isinstance(command, Block):
             thread.state = ThreadState.BLOCKED
-        elif isinstance(command, YieldNow):
+            return None
+        if isinstance(command, YieldNow):
             thread.state = ThreadState.RUNNABLE
-            self._push(thread, self.clock.now)
-        else:
-            self._fail(
-                thread,
-                TypeError("thread %r yielded a non-command value: %r" % (thread.name, command)),
-            )
+            return self.clock.now
+        self._fail(
+            thread,
+            TypeError("thread %r yielded a non-command value: %r" % (thread.name, command)),
+        )
+        return None
+
+    def _close_threads(self) -> None:
+        """Close the generators of threads a stopped run left suspended.
+
+        Left to the garbage collector, their ``finally`` blocks would run
+        with no current thread, and a primitive released there raises
+        into ``sys.unraisablehook``. The run's result is final by now,
+        so whatever ``close()`` raises is discarded.
+        """
+        for thread in self.threads.values():  # spawn order, i.e. tid order
+            if thread.state in TERMINAL_STATES:
+                continue
+            self.current = thread
+            try:
+                thread.gen.close()
+            except Exception:  # noqa: BLE001 - the run is already over
+                pass
+            finally:
+                self.current = None
 
     def _finish(self, thread: SimThread, result: Any) -> None:
         thread.state = ThreadState.DONE

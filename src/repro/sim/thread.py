@@ -25,7 +25,12 @@ class ThreadState(enum.Enum):
 
     @property
     def is_terminal(self) -> bool:
-        return self in (ThreadState.DONE, ThreadState.FAILED)
+        return self in TERMINAL_STATES
+
+
+#: States a thread never leaves; a membership test is cheaper than the
+#: ``is_terminal`` property on the scheduler's hot path.
+TERMINAL_STATES = frozenset((ThreadState.DONE, ThreadState.FAILED))
 
 
 class SimThread:
@@ -72,7 +77,7 @@ class SimThread:
 
     @property
     def is_alive(self) -> bool:
-        return not self.state.is_terminal
+        return self.state not in TERMINAL_STATES
 
     def snapshot_stack(self) -> List[str]:
         """Copy of the current call-stack labels (for bug reports)."""

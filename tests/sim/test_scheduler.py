@@ -1,7 +1,11 @@
 """Scheduler semantics: ordering, determinism, failures, deadlock."""
 
+import gc
+import sys
+
 import pytest
 
+from repro.apps import patterns
 from repro.sim.api import Simulation
 from repro.sim.errors import DeadlockError
 from repro.sim.instrument import CostModel
@@ -151,6 +155,31 @@ class TestFailures:
         result = sim.run(bad(sim))
         assert result.crashed
         assert isinstance(result.first_failure(), TypeError)
+
+
+class TestStoppedRunCleanup:
+    def test_abandoned_threads_raise_nothing_when_collected(self, monkeypatch):
+        # A crash stops the run while counter workers sit suspended in
+        # try/finally blocks that release a lock. Closing them later,
+        # outside the run, must not raise into sys.unraisablehook.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        sim = Simulation(seed=0)
+
+        def crasher(sim):
+            yield from sim.sleep(1.0)
+            raise RuntimeError("crash")
+
+        def main(sim):
+            sim.fork(crasher(sim), name="crasher")
+            yield from patterns.locked_counter_workers(sim, "t", workers=3, increments=5)
+
+        result = sim.run(main(sim))
+        assert isinstance(result.first_failure(), RuntimeError)
+        assert any(thread.is_alive for thread in sim.scheduler.threads.values())
+        del sim, result
+        gc.collect()
+        assert unraisable == []
 
 
 class TestDeadlockAndLimits:
