@@ -1,4 +1,4 @@
-"""Analyzer scale benchmark: tree clocks + batched passes vs the baseline.
+"""Analyzer scale benchmark: tree clocks vs the vector-clock reference.
 
 Real preparation-run traces top out near a thousand events (median 20,
 mean 60, max 960 across the 146 bundled app tests), far too small to
@@ -6,29 +6,30 @@ measure how ``analyze_trace`` scales. This benchmark generates seeded
 synthetic traces (:mod:`repro.core.synthtrace`) with the same structure
 the analyzer cares about -- deep fork trees, hundreds of threads,
 near-miss windows dense with fork-related accesses -- at 10x and 100x
-the largest real trace, and times all four engine/mode combinations:
+the largest real trace, and times the analysis under two clock classes:
 
-* ``hb_engine`` in {vector, tree} (clock representation), and
-* ``batched_analysis`` in {False, True} (per-event near-miss feeding
-  versus the columnar sweep).
+* ``tree`` -- :class:`~repro.core.tree_clock.ThreadTreeClock`, the
+  engine every preparation run uses; and
+* ``vector`` -- :class:`~repro.core.vector_clock.ThreadVectorClock`,
+  section 4.1's representation, as the reference.
 
-The timed region per combination is clock attachment (the recording
+The timed region per clock class is clock attachment (the recording
 hook's per-fork ``inherit_to`` + per-event ``capture()`` work, replayed
-offline on the shared event list) plus ``analyze_trace``. Because every
-combination annotates the *same* event objects, object ids and
-timestamps are identical by construction and the four injection plans
-can be -- and are -- compared bit-for-bit.
+offline on the shared event list) plus ``analyze_trace``. Repetitions
+alternate the two classes so host drift lands on both. Because both
+annotate the *same* event objects, object ids and timestamps are
+identical by construction and the two injection plans can be -- and
+are -- compared bit-for-bit.
 
 Gates (exit 2 on violation):
 
-* all four plans serialize identically at every scale;
-* the headline speedup -- tree + batched over the vector per-event
-  baseline -- is at least ``MIN_SPEEDUP_X`` at the largest scale;
-* the batched sweep is never more than ``MAX_REGRESSION`` slower than
-  the per-event path on the same engine (a machine-independent ratio,
-  so the gate travels to any CI runner).
+* both plans serialize identically at every scale;
+* the tree engine is at least ``MIN_SPEEDUP_X`` faster than the vector
+  reference at the largest scale (a same-process ratio, so the gate
+  travels to any CI runner).
 
-Writes ``BENCH_analyzer.json`` at the repo root.
+Writes ``BENCH_analyzer.json`` at the repo root, with the host
+fingerprint and every repetition's time.
 
 Usage::
 
@@ -39,13 +40,18 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import pathlib
+import platform
+import subprocess
 import sys
 import time
 
 from repro.core.analyzer import analyze_trace
-from repro.core.config import WaffleConfig
+from repro.core.config import DEFAULT_CONFIG
 from repro.core.synthtrace import attach_clocks, generate_trace
+from repro.core.tree_clock import ThreadTreeClock
+from repro.core.vector_clock import ThreadVectorClock
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -54,11 +60,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASE_EVENTS = 960
 
 MIN_SPEEDUP_X = 5.0
-MAX_REGRESSION = 0.20
 
 #: Generation parameters per scale cell. fork_bias grows one long spine
 #: (deep clocks); related_fraction routes near-miss USEs through fork
-#: chains, where the two engines' ordering-query costs diverge most.
+#: chains, where the two representations' ordering-query costs diverge
+#: most.
 SCALES = [
     {
         "label": "10x",
@@ -82,112 +88,100 @@ SCALES = [
     },
 ]
 
-COMBOS = [
-    ("vector", False),
-    ("vector", True),
-    ("tree", False),
-    ("tree", True),
-]
+CLOCKS = {"vector": ThreadVectorClock, "tree": ThreadTreeClock}
 
 
-def _combo_key(engine: str, batched: bool) -> str:
-    return "%s_%s" % (engine, "batched" if batched else "per_event")
+def host_fingerprint() -> dict:
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+        ).stdout.strip() or None
+    except OSError:
+        commit = None
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "commit": commit,
+    }
 
 
 def run_cell(spec: dict) -> dict:
     params = {k: v for k, v in spec.items() if k not in ("label", "reps")}
     synth = generate_trace(**params)
-    events = synth.event_count
 
-    # Warm both engines once: first-touch allocation and GC growth
-    # otherwise land on whichever combination runs first.
-    attach_clocks(synth, "vector")
-    attach_clocks(synth, "tree")
+    # Warm both classes once: first-touch allocation and GC growth
+    # otherwise land on whichever runs first.
+    for clock_class in CLOCKS.values():
+        attach_clocks(synth, clock_class)
 
-    results = {}
+    runs = {name: [] for name in CLOCKS}
     plans = {}
-    for engine, batched in COMBOS:
-        config = WaffleConfig(hb_engine=engine, batched_analysis=batched)
-        best_attach = best_analyze = float("inf")
-        plan = None
-        for _ in range(spec["reps"]):
+    for _ in range(spec["reps"]):
+        for name, clock_class in CLOCKS.items():
+            # Free the previous captures untimed: dropping 100k dicts
+            # would otherwise land on the next class's attach time.
+            for event in synth.trace.events:
+                event.vc_snapshot = None
             gc.collect()
             t0 = time.perf_counter()
-            attach_clocks(synth, engine)
+            attach_clocks(synth, clock_class)
             t1 = time.perf_counter()
-            plan = analyze_trace(synth.trace, config)
+            plan = analyze_trace(synth.trace, DEFAULT_CONFIG)
             t2 = time.perf_counter()
-            if (t2 - t0) < (best_attach + best_analyze):
-                best_attach = t1 - t0
-                best_analyze = t2 - t1
-        key = _combo_key(engine, batched)
-        plans[key] = json.dumps(plan.to_dict(), sort_keys=True)
-        results[key] = {
-            "attach_s": round(best_attach, 4),
-            "analyze_s": round(best_analyze, 4),
-            "total_s": round(best_attach + best_analyze, 4),
+            runs[name].append((t1 - t0, t2 - t1))
+            plans[name] = json.dumps(plan.to_dict(), sort_keys=True)
+
+    results = {}
+    for name, times in runs.items():
+        attach, analyze = min(times, key=sum)
+        results[name] = {
+            "attach_s": round(attach, 4),
+            "analyze_s": round(analyze, 4),
+            "total_s": round(attach + analyze, 4),
+            "total_s_reps": [round(sum(t), 4) for t in times],
         }
 
-    reference = plans[_combo_key("vector", False)]
-    identical = all(serialized == reference for serialized in plans.values())
-    baseline = results["vector_per_event"]["total_s"]
-    optimized = results["tree_batched"]["total_s"]
-    sample = next(iter(plans.values()))
+    stats = json.loads(plans["tree"])["stats"]
     return {
         "label": spec["label"],
-        "events": events,
+        "events": synth.event_count,
         "threads": synth.thread_count,
-        "scale_x": round(events / BASE_EVENTS, 1),
+        "scale_x": round(synth.event_count / BASE_EVENTS, 1),
         "params": synth.params,
         "reps": spec["reps"],
-        "combos": results,
-        "plans_bit_identical": identical,
-        "candidate_pairs": json.loads(sample)["stats"]["candidate_pairs"],
-        "pruned_parent_child": json.loads(sample)["stats"]["pruned_parent_child"],
-        "speedup_x": {
-            "tree_batched_vs_vector_per_event": round(baseline / optimized, 2),
-            "tree_vs_vector_batched": round(
-                results["vector_batched"]["total_s"] / results["tree_batched"]["total_s"], 2
-            ),
-            "batched_vs_per_event_vector": round(
-                baseline / results["vector_batched"]["total_s"], 2
-            ),
-        },
+        "clocks": results,
+        "plans_bit_identical": plans["tree"] == plans["vector"],
+        "candidate_pairs": stats["candidate_pairs"],
+        "pruned_parent_child": stats["pruned_parent_child"],
+        "speedup_x": round(results["vector"]["total_s"] / results["tree"]["total_s"], 2),
     }
 
 
 def main() -> int:
     cells = [run_cell(spec) for spec in SCALES]
     top = cells[-1]
-    headline = top["speedup_x"]["tree_batched_vs_vector_per_event"]
+    headline = top["speedup_x"]
 
-    failures = []
-    for cell in cells:
-        if not cell["plans_bit_identical"]:
-            failures.append(
-                "%s: injection plans differ across engine/mode combinations" % cell["label"]
-            )
-        for engine in ("vector", "tree"):
-            per_event = cell["combos"]["%s_per_event" % engine]["total_s"]
-            batched = cell["combos"]["%s_batched" % engine]["total_s"]
-            if batched > per_event * (1.0 + MAX_REGRESSION):
-                failures.append(
-                    "%s: batched analysis regressed %.0f%% over per-event on the %s engine"
-                    % (cell["label"], 100.0 * (batched / per_event - 1.0), engine)
-                )
+    failures = [
+        "%s: injection plans differ between tree and vector clocks" % cell["label"]
+        for cell in cells
+        if not cell["plans_bit_identical"]
+    ]
     if headline < MIN_SPEEDUP_X:
         failures.append(
-            "headline speedup %.2fx at %s scale is below the %.1fx floor"
+            "tree-over-vector speedup %.2fx at %s scale is below the %.1fx floor"
             % (headline, top["label"], MIN_SPEEDUP_X)
         )
 
     payload = {
-        "benchmark": "analyzer scale (tree clocks + batched passes vs per-event vector)",
+        "benchmark": "analyzer scale (tree clocks vs the vector-clock reference)",
+        "host": host_fingerprint(),
         "base_events": BASE_EVENTS,
         "cells": cells,
         "headline_speedup_x": headline,
         "min_speedup_x": MIN_SPEEDUP_X,
-        "max_batched_regression_pct": 100.0 * MAX_REGRESSION,
         "ok": not failures,
     }
     out = REPO_ROOT / "BENCH_analyzer.json"

@@ -129,10 +129,7 @@ def analyze_trace(trace: Trace, config: WaffleConfig) -> InjectionPlan:
         order_filter=order_filter,
     )
     memorder_events = [e for e in events if e.access_type.is_memorder]
-    if config.batched_analysis:
-        candidates = tracker.observe_batch(memorder_events)
-    else:
-        candidates = tracker.observe_all(memorder_events)
+    candidates = tracker.observe_all(memorder_events)
 
     delay_lengths: Dict[str, float] = {}
     for pair in candidates:

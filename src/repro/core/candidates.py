@@ -212,8 +212,8 @@ class CandidateSet:
     def iter_gap_items(self) -> Iterator[Tuple[CandidatePair, List[GapObservation]]]:
         """(pair, observations) without defensive copies; read-only use.
 
-        The batched interference pass iterates every observation of
-        every pair -- copying each list first would dominate it.
+        The interference pass iterates every observation of every
+        pair -- copying each list first would dominate it.
         """
         gaps = self._gaps
         for key, pair in self._pairs.items():

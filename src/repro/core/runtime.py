@@ -36,8 +36,8 @@ from .delay_policy import (
 )
 from .interference import ActiveDelayLedger, DelayInterval, InterferenceIndex
 from .nearmiss import NearMissTracker, TsvNearMissTracker
-from .tree_clock import make_clock
-from .vector_clock import TLS_KEY, ThreadVectorClock, ordered  # noqa: F401
+from .tree_clock import ThreadTreeClock
+from .vector_clock import TLS_KEY, ordered
 
 
 @dataclass
@@ -425,7 +425,7 @@ class OnlineInjectionHook(_BaseInjectionHook):
     def on_thread_start(self, thread) -> None:
         super().on_thread_start(thread)
         if self.parent_child and TLS_KEY not in thread.itls:
-            thread.itls.set(TLS_KEY, make_clock(self.config.hb_engine, thread.tid))
+            thread.itls.set(TLS_KEY, ThreadTreeClock(thread.tid))
 
     def before_access(self, pending: PendingAccess) -> float:
         if self.tsv_mode:

@@ -8,29 +8,30 @@ objects touched by several threads inside the near-miss window,
 parent-child ordered accesses that exercise the section 4.1 pruning
 path) at 100-1000x those event counts, from a single seed.
 
-Two-phase design, which is what makes engine comparisons fair:
+Two-phase design, which is what makes clock comparisons fair:
 
 1. :func:`generate_trace` builds the event list and the *fork schedule*
    (a replay script interleaving thread forks with events in global
    time order) **without** any clock captures.  Object ids, event ids,
    timestamps and thread ids are fixed here, once.
-2. :func:`attach_clocks` replays the schedule under a chosen
-   ``hb_engine`` and stamps ``vc_snapshot`` onto the *same* event
-   objects.
+2. :func:`attach_clocks` replays the schedule with a chosen clock class
+   (:class:`~repro.core.tree_clock.ThreadTreeClock` or the
+   :class:`~repro.core.vector_clock.ThreadVectorClock` reference) and
+   stamps ``vc_snapshot`` onto the *same* event objects.
 
-Because both engines annotate one shared event list, their injection
-plans can be compared bit-for-bit without the process-global object-id
-counter confound that back-to-back simulation runs suffer from.
+Because both clock classes annotate one shared event list, their
+injection plans can be compared bit-for-bit without the process-global
+object-id counter confound that back-to-back simulation runs suffer
+from.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Tuple, Type
 
 from ..sim.instrument import AccessEvent, AccessType, Location
-from .tree_clock import make_clock
 from .trace import Trace
 
 #: Fork-schedule opcodes: ``("fork", parent_tid, child_tid)`` or
@@ -224,13 +225,13 @@ def generate_trace(
     )
 
 
-def attach_clocks(synth: SyntheticTrace, hb_engine: str) -> None:
-    """Replay the fork schedule under ``hb_engine`` and stamp every event.
+def attach_clocks(synth: SyntheticTrace, clock_class: Type) -> None:
+    """Replay the fork schedule with ``clock_class`` and stamp every event.
 
     Mutates ``vc_snapshot`` in place on the shared event list; calling
-    again with the other engine swaps every capture while object ids,
-    event ids and timestamps stay untouched -- the equal-footing setup
-    for bit-identical plan comparisons.
+    again with the other clock class swaps every capture while object
+    ids, event ids and timestamps stay untouched -- the equal-footing
+    setup for bit-identical plan comparisons.
 
     This is also the benchmark's proxy for the recording hook's clock
     work: one ``inherit_to`` per fork, one ``capture()`` per event,
@@ -238,7 +239,7 @@ def attach_clocks(synth: SyntheticTrace, hb_engine: str) -> None:
     during a real preparation run.
     """
     events = synth.trace.events
-    clocks = {1: make_clock(hb_engine, 1)}
+    clocks = {1: clock_class(1)}
     for op in synth.schedule:
         if op[0] == "event":
             event = events[op[1]]

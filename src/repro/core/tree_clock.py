@@ -1,8 +1,10 @@
 """Tree-clock happens-before engine for fork orderings.
 
-A drop-in alternative to the dict-based vector clocks of
-:mod:`repro.core.vector_clock`, after Mathur et al., "A Tree Clock Data
-Structure for Causal Orderings in Concurrent Executions" (PAPERS.md).
+The runtime representation of the section 4.1 fork clocks, after Mathur
+et al., "A Tree Clock Data Structure for Causal Orderings in Concurrent
+Executions" (PAPERS.md). The dict-based vector clocks of
+:mod:`repro.core.vector_clock` are the paper's representation and the
+reference the tests compare against.
 The insight carried over here: when the happens-before relation is
 induced *only* by thread forks (section 4.1 of the Waffle paper), each
 thread's clock is fully described by
@@ -31,7 +33,7 @@ thread A and ``b`` of thread B:
 
 This answers ``ordered``/``concurrent`` in O(log |depth(A) - depth(B)|)
 with no allocation, against O(chain) dict compares (plus an O(chain)
-dict build per event) for the vector-clock engine.  The two engines are
+dict build per event) for vector clocks.  The two representations are
 observationally equivalent: ``tests/core/test_tree_clock.py`` asserts
 equal verdicts on every event pair of seeded random fork trees.
 """
@@ -41,13 +43,6 @@ from __future__ import annotations
 from typing import Dict, ItemsView, Optional
 
 from ..sim.tls import Inheritable
-
-#: Tree clocks live under the same TLS key as vector clocks: exactly one
-#: happens-before engine is active per run.
-from .vector_clock import TLS_KEY, ThreadVectorClock  # noqa: F401  (re-export)
-
-#: Recognized values of the ``hb_engine`` config switch.
-HB_ENGINES = ("vector", "tree")
 
 
 class _ChainNode:
@@ -88,12 +83,10 @@ class _ChainNode:
 class TreeClockStamp:
     """An O(1) frozen capture of one thread's tree clock at one event.
 
-    Plays the role ``ThreadVectorClock.snapshot()`` dicts play on
-    ``AccessEvent.vc_snapshot``: :func:`repro.core.vector_clock.ordered`
-    accepts either representation (and mixes of the two).  ``mapping()``
-    / ``items()`` materialize the equivalent ``{tid: counter}`` dict on
-    demand, so serialization and flight-recorder call sites that expect
-    dict-shaped clocks keep working unchanged.
+    The ``AccessEvent.vc_snapshot`` of a recorded event: the O(1)
+    counterpart of a ``ThreadVectorClock.snapshot()`` dict.  ``mapping()``
+    / ``items()`` materialize that dict on demand, in the same key order,
+    so serializers and flight records write the same bytes for either.
     """
 
     __slots__ = ("tid", "own", "chain", "depth")
@@ -140,12 +133,19 @@ class TreeClockStamp:
     # -- Dict-compatible views -----------------------------------------
 
     def mapping(self) -> Dict[int, int]:
-        """The equivalent ``{tid: counter}`` vector-clock dict."""
-        out: Dict[int, int] = {self.tid: self.own}
+        """The equivalent ``{tid: counter}`` vector-clock dict.
+
+        Keys run root-first with the own entry last, the order
+        ``ThreadVectorClock.snapshot()`` builds, so a dumped clock is
+        byte-identical under either representation.
+        """
+        chain = []
         node = self.chain
         while node is not None:
-            out[node.tid] = node.value
+            chain.append(node)
             node = node.parent
+        out: Dict[int, int] = {node.tid: node.value for node in reversed(chain)}
+        out[self.tid] = self.own
         return out
 
     def items(self) -> ItemsView[int, int]:
@@ -159,7 +159,7 @@ class TreeClockStamp:
 class ThreadTreeClock(Inheritable):
     """The per-thread tree clock stored in inheritable TLS.
 
-    Implements the same section 4.1 fork protocol as
+    Implements the section 4.1 fork protocol of
     :class:`~repro.core.vector_clock.ThreadVectorClock` -- child copies
     the parent's pre-increment entries, appends its own ``(tid, 1)``
     entry, parent's counter is bumped -- but the "copy" is a shared
@@ -202,13 +202,3 @@ class ThreadTreeClock(Inheritable):
     def __repr__(self) -> str:
         return "ThreadTreeClock(tid=%d, %r)" % (self.tid, self.snapshot())
 
-
-def make_clock(hb_engine: str, tid: int):
-    """Construct a root clock for the configured happens-before engine."""
-    if hb_engine == "tree":
-        return ThreadTreeClock(tid)
-    if hb_engine == "vector":
-        return ThreadVectorClock(tid)
-    raise ValueError(
-        "unknown hb_engine %r (expected one of %s)" % (hb_engine, ", ".join(HB_ENGINES))
-    )

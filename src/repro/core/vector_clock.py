@@ -100,23 +100,14 @@ class ThreadVectorClock(Inheritable):
 def leq(a, b) -> bool:
     """Component-wise <= on clock captures (missing entries read as 0).
 
-    Accepts ``{tid: counter}`` snapshot dicts, tree-clock stamps
-    (:class:`~repro.core.tree_clock.TreeClockStamp`), or a mix: stamps
-    compare structurally against each other and fall back to their dict
-    view against dicts, so both representations are interchangeable on
-    ``AccessEvent.vc_snapshot``.
+    Both captures are ``{tid: counter}`` snapshot dicts (traces loaded
+    from JSONL) or both are tree-clock stamps
+    (:class:`~repro.core.tree_clock.TreeClockStamp`, recorded runs); a
+    trace never holds both.
     """
-    a_is_dict = type(a) is dict
-    b_is_dict = type(b) is dict
-    if a_is_dict and b_is_dict:
+    if type(a) is dict:
         return all(value <= b.get(tid, 0) for tid, value in a.items())
-    if not a_is_dict and not b_is_dict:
-        return a.leq(b)
-    if a_is_dict:
-        b = b.mapping()
-    else:
-        a = a.mapping()
-    return all(value <= b.get(tid, 0) for tid, value in a.items())
+    return a.leq(b)
 
 
 def ordered(a, b) -> bool:
@@ -129,7 +120,7 @@ def ordered(a, b) -> bool:
     """
     if a is None or b is None:
         return False
-    if type(a) is dict or type(b) is dict:
+    if type(a) is dict:
         return leq(a, b) or leq(b, a)
     # Tree-clock fast path: one structural query answers both directions.
     return a.ordered_with(b)

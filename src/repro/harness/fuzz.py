@@ -5,10 +5,9 @@ planted-bug oracle (:mod:`repro.gen.oracle`) and returns a row of
 deterministic fields only -- so the whole table, and hence its digest,
 is a pure function of ``(seed range, config, budget, replay flag)``:
 bit-identical across ``--jobs 1`` vs ``--jobs N`` (submission-order
-merge in :func:`~repro.harness.parallel.map_units`), across cold and
-warm caches (rows are content-addressed by generator seed + spec hash),
-and across the vector and tree happens-before engines (their plans are
-bit-identical by construction).
+merge in :func:`~repro.harness.parallel.map_units`) and across cold
+and warm caches (rows are content-addressed by generator seed + spec
+hash).
 
 Cells flow through :func:`map_units`, so fuzz campaigns inherit the
 supervisor (watchdogs, retries, checkpoint-resume, chaos) and the

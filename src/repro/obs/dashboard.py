@@ -12,9 +12,8 @@ stable structure is what the CI smoke test greps for.
 Determinism is a feature, not an accident: the document carries no
 timestamps, hostnames, or source paths; every iteration is over sorted
 keys; all numbers come from deduplicated or ground-truth-reconciled
-sources. Re-rendering the same campaign -- across ``--jobs`` fan-out or
-happens-before engines -- yields a byte-identical file (a golden test
-pins this).
+sources. Re-rendering the same campaign -- across ``--jobs`` fan-out --
+yields a byte-identical file (a golden test pins this).
 
 Palette (validated categorical/sequential/status sets): series colors
 follow the entity in fixed slot order, magnitude uses a single-hue

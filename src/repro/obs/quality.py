@@ -186,7 +186,7 @@ def sensitivity_curve(
 
     Returns only JSON-plain, deterministically ordered data: bins are in
     gap order, group keys sorted, rates rounded -- so rendering it (or
-    hashing it) is reproducible across jobs/engine/chaos variants.
+    hashing it) is reproducible across jobs/chaos variants.
     """
     by_topology: Dict[str, List[dict]] = {}
     by_kind: Dict[str, List[dict]] = {}

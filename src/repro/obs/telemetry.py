@@ -52,7 +52,7 @@ FAULT_KINDS = ("worker_crash", "hang", "transient_io", "corrupt_record", "determ
 #: ms). The default near-miss window is 100 ms, so in-window gaps land
 #: below the last bound; a widened window spills into the overflow
 #: bucket. Gaps are virtual-time differences, so the histogram sums are
-#: deterministic across --jobs values and happens-before engines.
+#: deterministic across --jobs values.
 GAP_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
 
 

@@ -92,10 +92,10 @@ class AccessEvent:
     member: str = ""
     duration: float = 0.0
     injected_delay: float = 0.0
-    #: Fork-ordering capture: a ``{tid: counter}`` vector-clock dict or
-    #: a :class:`~repro.core.tree_clock.TreeClockStamp`, depending on
-    #: the configured ``hb_engine`` (``vector_clock.ordered`` accepts
-    #: both).
+    #: Fork-ordering capture: a
+    #: :class:`~repro.core.tree_clock.TreeClockStamp` on recorded
+    #: events, a ``{tid: counter}`` vector-clock dict on events loaded
+    #: from JSONL (``vector_clock.ordered`` accepts either, not mixed).
     vc_snapshot: Optional[Any] = None
     event_id: int = field(default_factory=_next_event_id)
 

@@ -2,8 +2,7 @@
 
 The dashboard and the OpenMetrics export must be *reproducible
 artifacts*: the same campaign rendered under ``--jobs 1`` vs ``--jobs
-2`` and under the vector vs tree happens-before engines yields
-byte-identical files, and a chaos-interrupted campaign's
+2`` yields byte-identical files, and a chaos-interrupted campaign's
 ``--deterministic`` metrics export matches a clean run's exactly.
 """
 
@@ -81,12 +80,6 @@ class TestGoldenDeterminism:
         two = run_campaign(tmp_path / "jobs2", "--jobs", "2")
         assert (one / "dashboard.html").read_bytes() == (two / "dashboard.html").read_bytes()
         assert (one / "metrics.prom").read_bytes() == (two / "metrics.prom").read_bytes()
-
-    def test_hb_engines_are_byte_identical(self, tmp_path):
-        vector = run_campaign(tmp_path / "vector", "--hb-engine", "vector")
-        tree = run_campaign(tmp_path / "tree", "--hb-engine", "tree")
-        assert (vector / "dashboard.html").read_bytes() == (tree / "dashboard.html").read_bytes()
-        assert (vector / "metrics.prom").read_bytes() == (tree / "metrics.prom").read_bytes()
 
     def test_chaos_deterministic_export_matches_clean(self, tmp_path, monkeypatch):
         clean = run_campaign(tmp_path / "clean", "--jobs", "2")
