@@ -93,16 +93,23 @@ def save_record(payload: dict, path: PathLike, fsync: bool = False) -> None:
     empty record after a crash. It costs ~0.5ms per record, so the
     single-host cache leaves it off.
     """
-    target = Path(path)
     body = json.dumps({"version": FORMAT_VERSION, "record": payload}, sort_keys=True)
+    write_atomic(body.encode("utf-8"), path, fsync=fsync)
+
+
+def write_atomic(body: bytes, path: PathLike, fsync: bool = False) -> None:
+    """Publish ``body`` at ``path`` atomically (see :func:`save_record`).
+
+    The write half of :func:`save_record`, for callers that encode the
+    record bytes themselves.
+    """
+    target = Path(path)
     tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
-    if fsync:
-        with open(tmp, "w") as fp:
-            fp.write(body)
+    with open(tmp, "wb") as fp:
+        fp.write(body)
+        if fsync:
             fp.flush()
             os.fsync(fp.fileno())
-    else:
-        tmp.write_text(body)
     os.replace(tmp, target)
     if fsync:
         fsync_dir(target.parent)

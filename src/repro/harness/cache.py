@@ -4,31 +4,47 @@ Every run primitive in this reproduction is a deterministic function of
 its inputs: the simulator is virtual-time with seeded RNGs, so a
 preparation run, a baseline run or a whole detection session is fully
 determined by (workload identity, configuration, seed). That makes
-memoization sound: a cache hit returns *bit-identical* results to
-re-execution, which is the correctness anchor the equivalence tests
-guard.
+memoization sound: a cache hit returns results bit-identical to
+re-execution, except for ``object_id`` provenance in a cached plan
+(object ids come from a process-lifetime counter and are never consumed
+by injection decisions), which is the correctness anchor the
+equivalence tests guard.
 
 Entries are keyed by a SHA-256 digest over a canonical JSON encoding of
 (kind, test id, config hash, seed, extras) and stored as one JSON file
-per entry via :mod:`repro.core.persistence`. Any change to a config
-field -- delay lengths, windows, design-point flags -- changes the
-config hash and therefore invalidates the entry; bumping
-``persistence.FORMAT_VERSION`` invalidates everything. Records carry a
-SHA-256 payload checksum written at ``put`` time and verified on every
-file read: a corrupt or truncated entry (torn write, bit rot, chaos
-injection) is quarantined (``*.corrupt`` rename) and treated as a
-miss, never a crash -- every cached unit is deterministic, so
-recomputation is always sound.
+per entry, in the layout :func:`repro.core.persistence.save_record`
+writes. Any change to a config field -- delay lengths, windows,
+design-point flags -- changes the config hash and therefore invalidates
+the entry; bumping ``persistence.FORMAT_VERSION`` invalidates
+everything. Records carry a SHA-256 checksum of the payload's encoded
+bytes, written at ``put`` time and checked against the bytes in the
+file on every file read, before the payload is decoded: a corrupt,
+truncated or rewritten entry (torn write, bit rot, chaos injection, a
+file not in the writer's exact layout) is quarantined (``*.corrupt``
+rename) and treated as a miss, never a crash -- every cached unit is
+deterministic, so recomputation is always sound.
+
+Time limits. A run's time limit is read in exactly one place, the
+scheduler's ``now > time_limit_ms`` check, so a run that ended at
+virtual time ``v`` without timing out is the same run under every limit
+``L >= v``. Runs that take a limit (``prep``, ``online_pair``,
+``planned``) are therefore stored once under a key *without* the limit
+when they did not time out, and that record serves any lookup whose
+limit is at least its end time (``None`` meaning the simulator's
+600 000 ms default). A run that timed out is stored under its key plus
+the limit (:func:`limit_key`) and serves only that same limit. So a
+preparation trace is recorded once and its plan reused across tables,
+whatever per-test limit each table asks under.
 
 Cached kinds:
 
 * ``baseline``  -- one uninstrumented run (:class:`SingleRun` fields);
 * ``prep``      -- a preparation run: run stats, the analyzed
   :class:`~repro.core.analyzer.InjectionPlan`, and the trace censuses
-  Table 2 / section 3.3 need (site counts, init-instance counts), so
-  the trace is recorded once and the plan reused across tables;
+  Table 2 / section 3.3 need (site counts, init-instance counts);
 * ``online_pair`` -- the two-run WaffleBasic/Tsvd unit shared by
   Tables 5/6 and the overlap census;
+* ``planned``   -- one planned Waffle detection run (Tables 5/6);
 * ``detect``    -- one full detection attempt of one tool on one
   workload (matched? runs-to-expose, total time);
 * ``perf``      -- one single-detection-run probe (Table 7's ablation
@@ -42,13 +58,13 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .. import obs
 from ..obs import eventbus
 from ..core.analyzer import InjectionPlan
 from ..core.config import WaffleConfig
-from ..core.persistence import load_record, save_record
+from ..core.persistence import FORMAT_VERSION, write_atomic
 from . import faults
 
 #: Environment variable consulted for a default cache directory.
@@ -59,6 +75,53 @@ CACHE_DIR_ENV = "WAFFLE_CACHE_DIR"
 #: even across host crashes -- the contract fleet workers on a shared
 #: filesystem rely on. The fleet coordinator exports this to workers.
 CACHE_SHARED_ENV = "WAFFLE_CACHE_SHARED"
+
+
+#: The simulator's default time limit: what a ``None`` limit means.
+DEFAULT_TIME_LIMIT_MS = 600_000.0
+
+#: A record file, byte for byte as ``persistence.save_record`` writes
+#: ``{"payload": P, "sha256": H}`` (sorted keys, default separators):
+#: ``_HEAD + P + _MID + H + _TAIL``, with H the first 32 hex digits of
+#: the SHA-256 of P's bytes.
+_HEAD = b'{"record": {"payload": '
+_MID = b', "sha256": "'
+_TAIL = b'"}, "version": %d}' % FORMAT_VERSION
+_CHECKSUM_LEN = 32
+
+
+def run_limit(time_limit_ms: Optional[float]) -> float:
+    """The limit a run is simulated under (``None``: the default)."""
+    return DEFAULT_TIME_LIMIT_MS if time_limit_ms is None else float(time_limit_ms)
+
+
+def limit_key(key: Dict[str, Any], time_limit_ms: Optional[float]) -> Dict[str, Any]:
+    """The key a run that timed out under ``time_limit_ms`` is stored at."""
+    return dict(key, limit=run_limit(time_limit_ms))
+
+
+def _checksum(text: bytes) -> bytes:
+    return hashlib.sha256(text).hexdigest()[:_CHECKSUM_LEN].encode("ascii")
+
+
+def _decode(body: bytes) -> dict:
+    """The payload of a record file, after checking its layout and the
+    checksum of the payload bytes as they sit in the file."""
+    end = len(body) - len(_TAIL) - _CHECKSUM_LEN - len(_MID)
+    if (
+        end < len(_HEAD)
+        or not body.startswith(_HEAD)
+        or not body.endswith(_TAIL)
+        or body[end:end + len(_MID)] != _MID
+    ):
+        raise ValueError("cache record is not in the writer's layout")
+    text = body[len(_HEAD):end]
+    if body[end + len(_MID):len(body) - len(_TAIL)] != _checksum(text):
+        raise ValueError("cache record failed checksum")
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("cache record payload is not an object")
+    return payload
 
 
 def config_hash(config: WaffleConfig, include_seed: bool = False) -> str:
@@ -162,45 +225,63 @@ class PlanCache:
         except OSError:
             pass  # the quarantine rename itself must never crash a run
 
-    @staticmethod
-    def _payload_checksum(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
-
-    def get(self, kind: str, key: Dict[str, Any]) -> Optional[dict]:
+    def _lookup(self, kind: str, key: Dict[str, Any]) -> Optional[dict]:
+        """The payload stored at ``key``, or None. Quarantines a bad
+        file; counts no hit or miss (:meth:`get` does)."""
         digest = self._digest(kind, key)
         if digest in self._memo:
-            self._hit()
             return self._memo[digest]
         path = self._path(kind, digest)
-        if path.exists():
-            # Chaos site: deterministically corrupt the record before it
-            # is read, exercising the quarantine path below.
-            faults.maybe_corrupt_record(path)
-            try:
-                record = load_record(path)
-                payload = record["payload"]
-                if record.get("sha256") != self._payload_checksum(payload):
-                    raise ValueError("cache record failed checksum: %s" % path.name)
-            except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError):
-                # Torn write, stale/un-checksummed format, corrupted
-                # bytes, or an unreadable file (shared-filesystem
-                # hiccup, permissions): quarantine and recompute --
-                # a fetch failure is a miss, never a crash.
-                self._quarantine(path, "integrity validation failed")
-                self._miss()
-                return None
-            self._memo[digest] = payload
+        if not path.exists():
+            return None
+        # Chaos site: deterministically corrupt the record before it is
+        # read, exercising the quarantine path below.
+        faults.maybe_corrupt_record(path)
+        try:
+            payload = _decode(path.read_bytes())
+        except (ValueError, OSError):
+            # Torn write, another format or version, corrupted bytes, or
+            # an unreadable file (shared-filesystem hiccup, permissions):
+            # quarantine and recompute -- a fetch failure is a miss,
+            # never a crash.
+            self._quarantine(path, "integrity validation failed")
+            return None
+        self._memo[digest] = payload
+        return payload
+
+    def get(
+        self,
+        kind: str,
+        key: Dict[str, Any],
+        time_limit_ms: Optional[float] = None,
+        end_ms: Optional[Callable[[dict], float]] = None,
+    ) -> Optional[dict]:
+        """The payload stored for ``key``, or None; counts one hit or
+        one miss.
+
+        With ``end_ms`` (a payload's virtual end time), the lookup is
+        for a run under ``time_limit_ms`` and follows the time-limit
+        rule in the module docstring: the limit-free record serves it
+        when the run ended within the limit, else the record stored at
+        :func:`limit_key` does.
+        """
+        payload = self._lookup(kind, key)
+        if end_ms is not None:
+            limit = run_limit(time_limit_ms)
+            if payload is None or end_ms(payload) > limit:
+                payload = self._lookup(kind, limit_key(key, limit))
+        if payload is None:
+            self._miss()
+        else:
             self._hit()
-            return payload
-        self._miss()
-        return None
+        return payload
 
     def put(self, kind: str, key: Dict[str, Any], payload: dict) -> None:
         digest = self._digest(kind, key)
         self._memo[digest] = payload
-        save_record(
-            {"payload": payload, "sha256": self._payload_checksum(payload)},
+        text = json.dumps(payload, sort_keys=True).encode("utf-8")
+        write_atomic(
+            b"".join((_HEAD, text, _MID, _checksum(text), _TAIL)),
             self._path(kind, digest),
             fsync=self.shared,
         )

@@ -42,7 +42,7 @@ from ..sim.errors import NullReferenceError
 from ..sim.instrument import InstrumentationHook
 from ..obs import eventbus
 from . import metrics
-from .cache import PlanCache, config_hash, open_cache, run_to_dict
+from .cache import PlanCache, config_hash, limit_key, open_cache, run_to_dict
 from .parallel import map_units
 from .runner import (
     SingleRun,
@@ -95,16 +95,17 @@ def _planned_run_cached(
     seed: int,
     hook_seed: int,
     time_limit_ms: Optional[float],
-    plan_limit: Optional[float],
     cache: Optional[PlanCache],
     test_id: str,
 ) -> SingleRun:
     """One planned detection run, memoized.
 
-    The plan is itself a deterministic function of (test, config, seed,
-    plan_limit), so the cache key covers the run without serializing the
-    plan. ``plan_limit`` records the time limit the *preparation* run
-    used (Tables 5 and 6 differ here).
+    ``plan`` is the test's preparation plan from a preparation run that
+    did not time out (Table 5 plans only then; Table 6 prepares under
+    the 600 000 ms default). Every limit that run finished within gives
+    the same plan, so the key covers this run without serializing the
+    plan and Tables 5 and 6 share one record. The time limit joins the
+    key only when this run hit it.
     """
     key = None
     if cache is not None:
@@ -113,10 +114,10 @@ def _planned_run_cached(
             "config": config_hash(config),
             "seed": seed,
             "hook_seed": hook_seed,
-            "limit": time_limit_ms,
-            "plan_limit": plan_limit,
         }
-        record = cache.get("planned", key)
+        record = cache.get(
+            "planned", key, time_limit_ms, end_ms=lambda r: r["virtual_time_ms"]
+        )
         if record is not None:
             return SingleRun(**record)
     run, _ = run_planned_detection(
@@ -129,6 +130,8 @@ def _planned_run_cached(
         time_limit_ms=time_limit_ms,
     )
     if cache is not None and key is not None:
+        if run.timed_out:
+            key = limit_key(key, time_limit_ms)
         cache.put("planned", key, run_to_dict(run))
     return run
 
@@ -662,7 +665,6 @@ def _table5_cell(
             seed=seed + 1,
             hook_seed=seed * 7919 + 1,
             time_limit_ms=limit,
-            plan_limit=limit,
             cache=cache,
             test_id=test_id,
         )
@@ -797,7 +799,6 @@ def _table6_cell(
         seed=seed + 1,
         hook_seed=seed * 7919 + 1,
         time_limit_ms=limit,
-        plan_limit=None,
         cache=cache,
         test_id=test_id,
     )

@@ -23,7 +23,17 @@ from ..core.runtime import OnlineInjectionHook, PlannedInjectionHook
 from ..core.trace import RecordingHook, Trace
 from ..sim.api import Simulation
 from ..sim.instrument import NoopHook
-from .cache import PlanCache, PrepResult, config_hash, prep_from_record, prep_to_record, run_to_dict
+from .cache import (
+    PlanCache,
+    PrepResult,
+    config_hash,
+    limit_key,
+    prep_from_record,
+    prep_to_record,
+    run_limit,
+    run_to_dict,
+)
+
 #: Per-test timeout multiplier: a run exceeding ``TIMEOUT_FACTOR x``
 #: its uninstrumented duration (with a floor) is marked TimeOut -- the
 #: convention behind the MQTT.Net rows of Tables 5 and 6, where most
@@ -114,11 +124,7 @@ def run_recording(
         record_overhead_ms=config.record_overhead_ms,
         track_vector_clocks=config.parent_child_analysis,
     )
-    sim = Simulation(
-        seed=seed,
-        hook=hook,
-        time_limit_ms=time_limit_ms if time_limit_ms is not None else 600_000.0,
-    )
+    sim = Simulation(seed=seed, hook=hook, time_limit_ms=run_limit(time_limit_ms))
     result = sim.run(test.build(sim))
     if session is not None:
         _record_run(session, "prep", test, seed, started, result, hook=hook, sim=sim)
@@ -147,11 +153,7 @@ def run_planned_detection(
     hook = PlannedInjectionHook(
         plan, config, decay, seed=hook_seed if hook_seed is not None else seed
     )
-    sim = Simulation(
-        seed=seed,
-        hook=hook,
-        time_limit_ms=time_limit_ms if time_limit_ms is not None else 600_000.0,
-    )
+    sim = Simulation(seed=seed, hook=hook, time_limit_ms=run_limit(time_limit_ms))
     result = sim.run(test.build(sim))
     if session is not None:
         _record_run(session, "detect", test, seed, started, result, hook=hook, sim=sim)
@@ -193,11 +195,7 @@ def run_online_detection(
         parent_child=False,
         online_interference=False,
     )
-    sim = Simulation(
-        seed=seed,
-        hook=hook,
-        time_limit_ms=time_limit_ms if time_limit_ms is not None else 600_000.0,
-    )
+    sim = Simulation(seed=seed, hook=hook, time_limit_ms=run_limit(time_limit_ms))
     result = sim.run(test.build(sim))
     if session is not None:
         _record_run(session, "online", test, seed, started, result, hook=hook, sim=sim)
@@ -262,7 +260,8 @@ def analyze_test(
 # Each wraps one deterministic unit of work with a content-addressed
 # cache lookup. ``test_id`` must uniquely identify the workload across
 # applications (the experiment drivers pass "<app>:<test>"); it
-# defaults to the test's own name.
+# defaults to the test's own name. Units that take a time limit keep it
+# out of their key unless the run hit it (see repro.harness.cache).
 # ----------------------------------------------------------------------
 
 
@@ -301,7 +300,8 @@ def prepare_test(
     The fresh path records the trace, analyzes it into an
     :class:`InjectionPlan` and computes the site/instance censuses that
     Tables 2/5/6 and section 3.3 consume; a cache hit returns all of it
-    without re-running the simulation.
+    without re-running the simulation. The recording is shared by
+    every limit it finished within.
     """
     key = None
     if cache is not None:
@@ -309,9 +309,10 @@ def prepare_test(
             "test": _test_key(test, test_id),
             "config": config_hash(config),
             "seed": seed,
-            "limit": time_limit_ms,
         }
-        record = cache.get("prep", key)
+        record = cache.get(
+            "prep", key, time_limit_ms, end_ms=lambda r: r["run"]["virtual_time_ms"]
+        )
         if record is not None:
             prep = prep_from_record(record, SingleRun)
             _emit_prep(_test_key(test, test_id), seed, time_limit_ms, prep)
@@ -331,6 +332,8 @@ def prepare_test(
         event_count=len(trace),
     )
     if cache is not None and key is not None:
+        if run.timed_out:
+            key = limit_key(key, time_limit_ms)
         cache.put("prep", key, prep_to_record(prep))
     _emit_prep(_test_key(test, test_id), seed, time_limit_ms, prep)
     return prep
@@ -373,10 +376,14 @@ def online_pair(
             "test": _test_key(test, test_id),
             "config": config_hash(config),
             "seed": seed,
-            "limit": time_limit_ms,
             "tsv": tsv_mode,
         }
-        record = cache.get("online_pair", key)
+        record = cache.get(
+            "online_pair",
+            key,
+            time_limit_ms,
+            end_ms=lambda r: max(run["virtual_time_ms"] for run in r["runs"]),
+        )
         if record is not None:
             return [SingleRun(**entry) for entry in record["runs"]]
 
@@ -396,5 +403,7 @@ def online_pair(
         )
         runs.append(run)
     if cache is not None and key is not None:
+        if any(run.timed_out for run in runs):
+            key = limit_key(key, time_limit_ms)
         cache.put("online_pair", key, {"runs": [run_to_dict(run) for run in runs]})
     return runs

@@ -3,19 +3,24 @@
 The determinism of the virtual-time simulator makes memoization sound;
 these tests pin the contract: a warm hit returns *equal* results without
 re-running anything (asserted via the runner's process-local run
-counters), and any config change flips the key.
+counters), any config change flips the key, a run that finished within
+a time limit is shared by every limit it finished within, and a record
+is read only if its bytes are exactly what the writer wrote.
 """
 
+import hashlib
 import json
+import re
 
 import pytest
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.core import persistence
-from repro.harness import faults, runner
+from repro.harness import experiments, faults, runner
 from repro.harness.cache import PlanCache, config_hash, open_cache
 from repro.harness.runner import baseline_run, online_pair, prepare_test
 from repro.apps import get_app
+from repro.sim.api import Simulation
 
 
 @pytest.fixture(autouse=True)
@@ -292,3 +297,187 @@ class TestBaselineAndOnlinePairCaching:
         assert online_pair(
             test_case, DEFAULT_CONFIG, seed=5, tsv_mode=True, cache=cache, test_id="n:t"
         ) == tsv
+
+
+def _norm(value):
+    """Drop ``object_id`` provenance (a process-lifetime counter)."""
+    if isinstance(value, dict):
+        return {k: _norm(v) for k, v in value.items() if k != "object_id"}
+    if isinstance(value, list):
+        return [_norm(v) for v in value]
+    return value
+
+
+@pytest.fixture
+def sim_runs(monkeypatch):
+    """A one-element list counting every simulation run from here on."""
+    count = [0]
+    original = Simulation.run
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "run", counting)
+    return count
+
+
+@pytest.fixture(params=["prep", "online_pair", "planned"])
+def unit(request, test_case):
+    """One time-limited cached primitive as ``call(limit, cache)``,
+    returning (runs, everything else it returns, made comparable)."""
+    plan = prepare_test(test_case, DEFAULT_CONFIG, seed=3).plan
+
+    def call(limit=None, cache=None):
+        if request.param == "prep":
+            prep = prepare_test(
+                test_case, DEFAULT_CONFIG, seed=3, time_limit_ms=limit, cache=cache,
+                test_id="n:t",
+            )
+            return [prep.run], (
+                _norm(prep.plan.to_dict()), prep.mo_sites, prep.tsv_sites,
+                prep.tsv_injection_sites, prep.init_instance_counts, prep.event_count,
+            )
+        if request.param == "online_pair":
+            return online_pair(
+                test_case, DEFAULT_CONFIG, seed=3, time_limit_ms=limit, cache=cache,
+                test_id="n:t",
+            ), None
+        return [
+            experiments._planned_run_cached(
+                test_case, plan, DEFAULT_CONFIG, seed=4, hook_seed=3 * 7919 + 1,
+                time_limit_ms=limit, cache=cache, test_id="n:t",
+            )
+        ], None
+
+    return call
+
+
+def _end(result):
+    return max(run.virtual_time_ms for run in result[0])
+
+
+def _timed_out(result):
+    return any(run.timed_out for run in result[0])
+
+
+class TestTimeLimitRule:
+    def test_limit_at_or_above_end_reuses_the_limit_free_record(self, unit, cache, sim_runs):
+        free = unit(None, cache)
+        end = _end(free)
+        recordings, sims = runner.RECORDING_RUNS, sim_runs[0]
+        at_end = unit(end, cache)
+        above = unit(end * 2, cache)
+        assert (runner.RECORDING_RUNS, sim_runs[0]) == (recordings, sims)
+        assert at_end == above == free
+        assert at_end == unit(end)  # an uncached limited call
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.writes) == (2, 1, 1)
+
+    def test_limit_below_end_simulates_again_and_times_out(self, unit, cache, sim_runs):
+        free = unit(None, cache)
+        end = _end(free)
+        sims = sim_runs[0]
+        cut = unit(end / 2, cache)
+        assert sim_runs[0] > sims
+        assert _timed_out(cut)
+        assert cut == unit(end / 2)
+        # The same limit is served the timed-out record ...
+        sims = sim_runs[0]
+        assert unit(end / 2, cache) == cut
+        assert sim_runs[0] == sims
+        # ... another limit below the end is not ...
+        other = unit(end / 4, cache)
+        assert sim_runs[0] > sims
+        assert _timed_out(other)
+        assert other == unit(end / 4)
+        # ... and the limit-free record still serves an unlimited call.
+        sims = sim_runs[0]
+        assert unit(None, cache) == free
+        assert sim_runs[0] == sims
+        # One hit or one miss per call, however many keys it consults.
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.writes) == (2, 3, 3)
+
+    def test_timed_out_record_is_shared_through_the_files(self, unit, tmp_path, sim_runs):
+        limit = _end(unit(None, PlanCache(tmp_path))) / 2
+        cut = unit(limit, PlanCache(tmp_path))
+        sims = sim_runs[0]
+        reopened = PlanCache(tmp_path)  # no memo: reads both files
+        assert unit(limit, reopened) == cut
+        assert sim_runs[0] == sims
+        assert (reopened.stats.hits, reopened.stats.misses) == (1, 0)
+
+
+class TestSharingAcrossTables:
+    def test_tables_2_5_6_record_each_run_once(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        drivers = (
+            experiments.table2_sites,
+            experiments.table5_overhead,
+            experiments.table6_delays,
+        )
+        recordings = runner.RECORDING_RUNS
+        cached = [
+            driver(DEFAULT_CONFIG, apps=["nsubstitute"], cache_dir=str(cache_dir))
+            for driver in drivers
+        ]
+        tests = len(get_app("nsubstitute").multithreaded_tests)
+        assert runner.RECORDING_RUNS == recordings + tests
+        for kind in ("prep", "planned", "baseline", "online_pair"):
+            assert len(list(cache_dir.glob(kind + "-*.json"))) == tests, kind
+        plain = [driver(DEFAULT_CONFIG, apps=["nsubstitute"]) for driver in drivers]
+        assert cached == plain
+
+
+class TestRecordBytes:
+    PAYLOAD = {"b": [1, 2.5, None, "\u00e9"], "a": {"y": "z", "x": True}}
+
+    @staticmethod
+    def _checksum(payload):
+        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+        return hashlib.sha256(blob).hexdigest()[:32]
+
+    def _record_path(self, cache, key):
+        return cache._path("prep", cache._digest("prep", key))
+
+    def test_put_writes_what_save_record_writes(self, cache, tmp_path):
+        cache.put("prep", {"k": 1}, self.PAYLOAD)
+        reference = tmp_path / "reference.json"
+        persistence.save_record(
+            {"payload": self.PAYLOAD, "sha256": self._checksum(self.PAYLOAD)}, reference
+        )
+        assert self._record_path(cache, {"k": 1}).read_bytes() == reference.read_bytes()
+
+    def test_record_written_by_save_record_hits(self, cache):
+        path = self._record_path(cache, {"k": 1})
+        persistence.save_record(
+            {"payload": self.PAYLOAD, "sha256": self._checksum(self.PAYLOAD)}, path
+        )
+        fresh = PlanCache(cache.directory)
+        assert fresh.get("prep", {"k": 1}) == self.PAYLOAD
+        assert (fresh.stats.hits, fresh.stats.corrupt) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # A well-formed checksum of something else.
+            lambda body: re.sub(rb'"sha256": "[0-9a-f]{32}"', b'"sha256": "%s"' % (b"0" * 32), body),
+            # Whitespace inside the payload: same JSON value, other bytes.
+            lambda body: body.replace(b'"payload": {', b'"payload": { ', 1),
+            # Re-serialized with other whitespace: same JSON document.
+            lambda body: json.dumps(json.loads(body), sort_keys=True, indent=1).encode(),
+            # Trailing newline.
+            lambda body: body + b"\n",
+        ],
+        ids=["sha256-text", "payload-whitespace", "reserialized", "trailing-newline"],
+    )
+    def test_edited_record_is_quarantined(self, cache, edit):
+        cache.put("prep", {"k": 1}, self.PAYLOAD)
+        path = self._record_path(cache, {"k": 1})
+        body = path.read_bytes()
+        edited = edit(body)
+        assert edited != body
+        path.write_bytes(edited)
+        fresh = PlanCache(cache.directory)
+        assert fresh.get("prep", {"k": 1}) is None
+        assert (fresh.stats.corrupt, fresh.stats.misses) == (1, 1)
+        assert path.with_name(path.name + ".corrupt").exists()
