@@ -100,8 +100,9 @@ def save_record(payload: dict, path: PathLike, fsync: bool = False) -> None:
 def write_atomic(body: bytes, path: PathLike, fsync: bool = False) -> None:
     """Publish ``body`` at ``path`` atomically (see :func:`save_record`).
 
-    The write half of :func:`save_record`, for callers that encode the
-    record bytes themselves.
+    The one temp-file-and-rename in the program: the write half of
+    :func:`save_record`, for callers that encode the record bytes
+    themselves (run cache, artifact store, fleet files, merged streams).
     """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
@@ -113,6 +114,17 @@ def write_atomic(body: bytes, path: PathLike, fsync: bool = False) -> None:
     os.replace(tmp, target)
     if fsync:
         fsync_dir(target.parent)
+
+
+def quarantine(path: PathLike) -> None:
+    """Move a record that failed verification out of its store's
+    namespace (``*.corrupt``), keeping the bytes for inspection. Best
+    effort: the reader treats the record as a miss either way."""
+    target = Path(path)
+    try:
+        os.replace(target, target.with_name(target.name + ".corrupt"))
+    except OSError:
+        pass
 
 
 def fsync_dir(directory: PathLike) -> None:

@@ -64,7 +64,7 @@ from .. import obs
 from ..obs import eventbus
 from ..core.analyzer import InjectionPlan
 from ..core.config import WaffleConfig
-from ..core.persistence import FORMAT_VERSION, write_atomic
+from ..core.persistence import FORMAT_VERSION, quarantine, write_atomic
 from . import faults
 
 #: Environment variable consulted for a default cache directory.
@@ -211,19 +211,15 @@ class PlanCache:
             self._bus.emit("cache", action="miss")
             self._bus.maybe_flush()
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a record that failed integrity validation out of the
-        cache's namespace (``*.corrupt``) so it is never re-read, and
+    def _quarantine(self, path: Path) -> None:
+        """Quarantine a record that failed integrity validation and
         count it. A corrupt entry is a miss, never a crash: the work
         unit is deterministic, so recomputing it is always sound."""
         self.stats.corrupt += 1
         GLOBAL_STATS.corrupt += 1
         if self._obs is not None:
             self._obs.c_cache_corrupt.inc()
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass  # the quarantine rename itself must never crash a run
+        quarantine(path)
 
     def _lookup(self, kind: str, key: Dict[str, Any]) -> Optional[dict]:
         """The payload stored at ``key``, or None. Quarantines a bad
@@ -244,7 +240,7 @@ class PlanCache:
             # an unreadable file (shared-filesystem hiccup, permissions):
             # quarantine and recompute -- a fetch failure is a miss,
             # never a crash.
-            self._quarantine(path, "integrity validation failed")
+            self._quarantine(path)
             return None
         self._memo[digest] = payload
         return payload

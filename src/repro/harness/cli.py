@@ -707,7 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="explicit per-cell watchdog deadline; default adapts from the "
         "median completed-cell time x the runner's TIMEOUT_FACTOR "
-        "(activates the supervisor)",
+        "(activates the supervisor; in a 'campaign run' inner command it "
+        "sets every fleet executor's watchdog)",
     )
     parser = argparse.ArgumentParser(
         prog="waffle-repro",

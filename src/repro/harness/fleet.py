@@ -26,6 +26,13 @@ on-disk structures, all under the fleet directory:
   no cell executes twice on the happy path and a corrupt record is a
   quarantined miss, never a poisoned result.
 
+Each leased cell runs through the supervisor's attempt loop
+(:meth:`repro.harness.supervisor.Supervisor.run_cell`), so a fleet cell
+gets the same watchdog, retry policy, crash dossiers (written to the
+fleet directory) and flight-recorder fault marks as a supervised one;
+this module adds only the lease, heartbeat, publish and ledger steps
+around it.
+
 Because every cell is a pure function of its key, the coordinator's
 merged tables, canonical journal and event analytics are **byte
 identical** to a serial run's -- including under chaos that kills
@@ -56,14 +63,15 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
+from ..core.persistence import write_atomic
 from ..obs import eventbus
 from . import faults
 from .store import ArtifactStore
-from .supervisor import RetryPolicy, cell_key
+from .supervisor import CampaignStats, CellDrained, RetryPolicy, Supervisor, cell_key
 
 #: Fleet directory layout.
 MANIFEST_NAME = "campaign.json"
@@ -88,35 +96,26 @@ class FleetDrained(Exception):
 
 @dataclasses.dataclass
 class FleetStats:
-    """One executor's contribution to the campaign."""
+    """One executor's contribution to the campaign. Verdict counts
+    (retried, quarantined, failed, faults) live in the executor's
+    supervisor's :class:`~repro.harness.supervisor.CampaignStats`."""
 
     executed: int = 0
     fetched: int = 0
     stolen: int = 0
-    retried: int = 0
-    quarantined: int = 0
-    failed: int = 0
     reclaimed: int = 0
-    fault_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
-    #: Wall time inside cell functions vs inside coordination (leases,
-    #: store traffic, journal appends). The bench's overhead gate is
-    #: coordination_s / cell_s.
+    #: Wall time inside the fault boundary (cell attempts and their
+    #: backoff) vs inside coordination (leases, store traffic, journal
+    #: appends). The bench's overhead gate is coordination_s / cell_s.
     cell_s: float = 0.0
     coordination_s: float = 0.0
 
-    def count_fault(self, kind: str) -> None:
-        self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
-
-    def summary_line(self) -> str:
+    def summary_line(self, cells: CampaignStats) -> str:
         parts = ["%d executed" % self.executed, "%d fetched" % self.fetched]
-        if self.stolen:
-            parts.append("%d stolen" % self.stolen)
-        if self.retried:
-            parts.append("%d retried" % self.retried)
-        if self.quarantined:
-            parts.append("%d quarantined" % self.quarantined)
-        if self.failed:
-            parts.append("%d failed" % self.failed)
+        for label, count in (("stolen", self.stolen), ("retried", cells.retried),
+                             ("quarantined", cells.quarantined), ("failed", cells.failed)):
+            if count:
+                parts.append("%d %s" % (count, label))
         return "fleet: %s (coordination %.3fs / cell %.3fs)" % (
             ", ".join(parts), self.coordination_s, self.cell_s,
         )
@@ -136,9 +135,7 @@ def _fleet_paths(fleet_dir: os.PathLike) -> Dict[str, Path]:
 
 
 def _atomic_write_json(payload: dict, target: Path) -> None:
-    tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    os.replace(tmp, target)
+    write_atomic(json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"), target)
 
 
 class _Heartbeat(threading.Thread):
@@ -206,10 +203,11 @@ class FleetWorker:
         self.lease_ttl_s = lease_ttl_s
         self.poll_s = poll_s
         self.drain_timeout_s = drain_timeout_s
-        self.policy = policy or RetryPolicy()
+        #: The fault boundary every leased cell runs through; its crash
+        #: dossiers land in the fleet directory.
+        self.supervisor = Supervisor(policy=policy, dossier_dir=self.paths["root"])
         self.store = ArtifactStore(self.paths["store"], fsync=True)
         self.stats = FleetStats()
-        self.shutdown = threading.Event()
         self.started = time.time()
         #: keys this process currently leases -> authoritative attempt.
         self._held: Dict[str, int] = {}
@@ -240,14 +238,14 @@ class FleetWorker:
 
     def finish(self) -> None:
         """Final stats file + ``worker_end``, hard-flushed."""
-        stats = self.stats
+        stats, cells = self.stats, self.supervisor.stats
         _atomic_write_json(
             {"worker": self.worker_id, "role": self.role, "pid": os.getpid(),
              "state": "done", "started_unix": round(self.started, 3),
              "wall_s": round(time.time() - self.started, 3),
              "executed": stats.executed, "fetched": stats.fetched,
-             "stolen": stats.stolen, "retried": stats.retried,
-             "quarantined": stats.quarantined, "failed": stats.failed,
+             "stolen": stats.stolen, "retried": cells.retried,
+             "quarantined": cells.quarantined, "failed": cells.failed,
              "cell_s": round(stats.cell_s, 4),
              "coordination_s": round(stats.coordination_s, 4)},
             self.paths["workers"] / ("%s.json" % self.worker_id),
@@ -259,8 +257,14 @@ class FleetWorker:
         )
         eventbus.flush()
 
-    def request_shutdown(self) -> None:
-        self.shutdown.set()
+    @contextmanager
+    def _coordinating(self):
+        """Charge the enclosed wall time to ``stats.coordination_s``."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stats.coordination_s += time.perf_counter() - started
 
     # -- Lease protocol ------------------------------------------------
 
@@ -299,9 +303,8 @@ class FleetWorker:
         (``link`` fails with EEXIST for every loser). Falls back to
         ``O_CREAT | O_EXCL`` on filesystems without hardlinks.
         """
-        started = time.perf_counter()
         path = self._lease_path(key)
-        try:
+        with self._coordinating():
             if path.exists():
                 return False
             body = json.dumps(self._lease_payload(key, attempt), sort_keys=True)
@@ -336,8 +339,6 @@ class FleetWorker:
                               attempt=attempt)
             eventbus.flush()
             return True
-        finally:
-            self.stats.coordination_s += time.perf_counter() - started
 
     def _renew_lease(self, key: str, attempt: Optional[int] = None) -> bool:
         """Re-arm the deadline (and optionally bump the attempt) of a
@@ -365,8 +366,7 @@ class FleetWorker:
         """Terminate our lease (owner-verified unlink + event). The
         unlink is the serialization point: whoever unlinks (owner or
         the coordinator's reclaim sweep) emits the one release."""
-        started = time.perf_counter()
-        try:
+        with self._coordinating():
             with self._lease_lock:
                 self._held.pop(key, None)
                 current = self._read_lease(key)
@@ -379,8 +379,6 @@ class FleetWorker:
             eventbus.emit("lease_release", cell=key[:16], worker=self.worker_id)
             eventbus.flush()
             return True
-        finally:
-            self.stats.coordination_s += time.perf_counter() - started
 
     def _try_steal(self, key: str, lease: dict) -> Optional[int]:
         """Reclaim an expired lease. The rename-to-tombstone is the
@@ -396,8 +394,7 @@ class FleetWorker:
         lease and double-executing the cell. So after the rename we
         verify the tombstoned bytes are the stale lease we observed;
         anything else is live and is atomically put back."""
-        started = time.perf_counter()
-        try:
+        with self._coordinating():
             path = self._lease_path(key)
             self._steal_seq += 1
             tombstone = self.paths["expired"] / (
@@ -422,8 +419,6 @@ class FleetWorker:
                           worker=str(lease.get("worker", "?")),
                           attempt=int(lease.get("attempt", 0)))
             eventbus.flush()
-        finally:
-            self.stats.coordination_s += time.perf_counter() - started
         attempt = int(lease.get("attempt", 0)) + 1
         if self._try_acquire(key, attempt, stolen_from=lease):
             return attempt
@@ -455,105 +450,49 @@ class FleetWorker:
 
     # -- Cell execution ------------------------------------------------
 
-    def _account_fault(self, exc: BaseException, key: str, attempt: int) -> dict:
-        record = faults.describe(exc)
-        self.stats.count_fault(record["kind"])
-        session = obs.session()
-        if session is not None:
-            counter = session.c_faults.get(record["kind"])
-            if counter is not None:
-                counter.inc()
-        eventbus.emit("fault", cell=key[:16], attempt=attempt,
-                      kind=record["kind"], error=record.get("error", "?"))
-        return record
-
     def _journal_append(self, key: str, status: str, attempts: int, sha256: str) -> None:
-        started = time.perf_counter()
         entry = {"key": key, "status": status, "attempts": attempts,
                  "sha256": sha256, "worker": self.worker_id}
-        with open(self.journal_path, "a") as fp:
+        with self._coordinating(), open(self.journal_path, "a") as fp:
             fp.write(json.dumps(entry, sort_keys=True) + "\n")
             fp.flush()
-        self.stats.coordination_s += time.perf_counter() - started
+
+    def _publish(self, key: str, status: str, attempts: int, result: Any) -> Any:
+        """Publish a finalized cell, ledger it and hand its lease back."""
+        record = self.store.publish(key, status, result, attempts=attempts,
+                                    worker=self.worker_id)
+        self._journal_append(key, status, attempts, record.sha256)
+        self._release_lease(key)
+        eventbus.flush()
+        return result if status == "ok" else None
 
     def _execute_cell(self, fn: Callable[..., Any], args: Tuple, key: str,
                       attempt: int) -> Any:
-        """Run one leased cell to a verdict: retry loop, publication,
-        journal, lease release. The chaos ``worker_crash`` site is the
-        real thing in a worker (``os._exit``: the lease goes stale and
-        another executor steals it) and a raised fault in the
-        coordinator (which must survive to merge)."""
-        from .parallel import _call_unit
-
-        wall_started = time.perf_counter()
+        """Run one leased cell through the supervisor's attempt loop,
+        heartbeating the lease, then publish the verdict. The chaos
+        ``worker_crash`` site is the real thing in a worker
+        (``os._exit``: the lease goes stale and another executor steals
+        it) and a raised fault in the coordinator (which must survive to
+        merge). A drain during a retry backoff hands the lease back
+        unfinished and raises :class:`FleetDrained`."""
         heartbeat = _Heartbeat(self, key)
         heartbeat.start()
-        fault_list: List[dict] = []
-        status, result = "failed", None
-        final_attempt = attempt
+        started = time.perf_counter()
         try:
-            while True:
-                eventbus.emit("cell_begin", cell=key[:16], unit=fn.__name__,
-                              attempt=attempt)
-                eventbus.flush()
-                try:
-                    faults.cell_prelude(key, attempt, in_child=not self.is_coordinator)
-                    cell_started = time.perf_counter()
-                    result = _call_unit(fn, args)
-                    self.stats.cell_s += time.perf_counter() - cell_started
-                    status = "ok"
-                    final_attempt = attempt
-                    break
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - the boundary's job
-                    fault_list.append(self._account_fault(exc, key, attempt))
-                    kind, retryable = faults.classify(exc)
-                    final_attempt = attempt
-                    if not retryable:
-                        status, result = "quarantined", None
-                        break
-                    if attempt >= self.policy.max_attempts:
-                        status, result = "failed", None
-                        break
-                    backoff = self.policy.backoff_s(key, attempt)
-                    eventbus.emit("cell_retry", cell=key[:16], attempt=attempt + 1,
-                                  backoff_s=round(backoff, 4), kind=kind)
-                    self.shutdown.wait(backoff)
-                    if self.shutdown.is_set():
-                        raise FleetDrained(
-                            "worker %s draining during backoff of cell %s"
-                            % (self.worker_id, key[:12])
-                        )
-                    attempt += 1
-                    self._renew_lease(key, attempt=attempt)
-        except FleetDrained:
-            heartbeat.stop()
-            self._release_lease(key)  # hand unfinished work back to the fleet
-            raise
+            status, attempt, result = self.supervisor.run_cell(
+                fn, args, key, attempt, in_child=not self.is_coordinator,
+                on_retry=lambda next_attempt: self._renew_lease(key, attempt=next_attempt),
+            )
+        except CellDrained:
+            self._release_lease(key)
+            raise FleetDrained(
+                "worker %s draining during backoff of cell %s" % (self.worker_id, key[:12])
+            )
         finally:
             heartbeat.stop()
-        record = self.store.publish(key, status, result,
-                                    attempts=final_attempt, worker=self.worker_id)
-        self._journal_append(key, status, final_attempt, record.sha256)
-        session = obs.session()
-        if status == "ok" and final_attempt > 1:
-            self.stats.retried += 1
-            if session is not None:
-                session.c_cells_retried.inc()
-        elif status == "quarantined":
-            self.stats.quarantined += 1
-            if session is not None:
-                session.c_cells_quarantined.inc()
-        elif status == "failed":
-            self.stats.failed += 1
-        eventbus.emit("cell_end", cell=key[:16], status=status,
-                      attempt=final_attempt,
-                      wall_s=round(time.perf_counter() - wall_started, 4))
-        self._release_lease(key)
-        eventbus.flush()
+            self.stats.cell_s += time.perf_counter() - started
         self.stats.executed += 1
-        return result if status == "ok" else None
+        return self._publish(key, status, attempt, result)
 
     def _accept(self, record) -> Any:
         """Fold a fetched store record into this executor's results."""
@@ -589,7 +528,7 @@ class FleetWorker:
             order = order[offset:] + order[:offset]
         waiting: List[int] = []
         for index in order:
-            if self.shutdown.is_set():
+            if self.supervisor.shutdown.is_set():
                 raise FleetDrained("worker %s draining" % self.worker_id)
             key = keys[index]
             record = self._fetch(key)
@@ -623,22 +562,12 @@ class FleetWorker:
                 elif float(lease.get("deadline_unix", 0.0)) < time.time():
                     attempt = self._try_steal(key, lease)
                     if attempt is not None:
-                        if attempt > self.policy.max_attempts:
+                        if attempt > self.supervisor.policy.max_attempts:
                             # The fleet as a whole exhausted the budget:
                             # publish the failure verdict so every waiter
                             # sees it instead of stealing forever.
-                            record = self.store.publish(
-                                key, "failed", None, attempts=attempt - 1,
-                                worker=self.worker_id,
-                            )
-                            self._journal_append(key, "failed", attempt - 1,
-                                                 record.sha256)
-                            self.stats.failed += 1
-                            eventbus.emit("cell_end", cell=key[:16], status="failed",
-                                          attempt=attempt - 1)
-                            self._release_lease(key)
-                            eventbus.flush()
-                            results[index] = None
+                            self.supervisor.finalize(key, "failed", attempt - 1, [])
+                            results[index] = self._publish(key, "failed", attempt - 1, None)
                         else:
                             results[index] = self._execute_cell(
                                 fn, units[index], key, attempt=attempt
@@ -648,27 +577,24 @@ class FleetWorker:
                 still.append(index)
             waiting = still
             if waiting and not progressed:
-                if self.shutdown.is_set():
+                if self.supervisor.shutdown.is_set():
                     raise FleetDrained("worker %s draining" % self.worker_id)
                 if time.monotonic() > deadline:
                     raise faults.TransientIOFault(
                         "fleet drain timeout: %d cell(s) still unresolved after %.0fs"
                         % (len(waiting), self.drain_timeout_s)
                     )
-                self.shutdown.wait(self.poll_s)
+                self.supervisor.shutdown.wait(self.poll_s)
         return [results[index] for index in range(len(units))]
 
     def _fetch(self, key: str, quiet: bool = False):
         """Store read-through. ``quiet`` probes (the wait loop polling
         for another worker's publication) skip the miss accounting so a
         slow cell does not read as a thousand misses."""
-        started = time.perf_counter()
-        try:
+        with self._coordinating():
             if quiet and not self.store.path(key).exists():
                 return None
             return self.store.fetch(key)
-        finally:
-            self.stats.coordination_s += time.perf_counter() - started
 
 
 # ----------------------------------------------------------------------
@@ -736,15 +662,28 @@ def _write_manifest(path: Path, argv: Sequence[str], lease_ttl_s: float,
     return manifest
 
 
+def _manifest_executor(paths: Dict[str, Path], manifest: dict,
+                       worker_id: Optional[str], role: str) -> FleetWorker:
+    """An executor configured by the campaign manifest."""
+    return FleetWorker(
+        paths["root"], worker_id=worker_id, role=role,
+        lease_ttl_s=float(manifest.get("lease_ttl_s", 30.0)),
+        poll_s=float(manifest.get("poll_s", 0.2)),
+        drain_timeout_s=float(manifest.get("drain_timeout_s", 600.0)),
+        policy=RetryPolicy(max_attempts=int(manifest.get("retries", 3))),
+    )
+
+
 def _dispatch_inner(argv: Sequence[str], cache_dir: Path,
                     out_override: Optional[str] = None) -> int:
     """Parse and run the manifest's inner command in this process.
 
     The fleet owns parallelism and retries, so the inner command is
     forced serial (``--jobs 1``), pointed at the shared cache in
-    durable mode, and never activates its own supervisor. Workers get
-    their ``--out`` redirected to a worker-local file so only the
-    coordinator writes the user's artifact.
+    durable mode, and never activates its own supervisor; its
+    ``--cell-timeout`` sets the active executor's watchdog instead.
+    Workers get their ``--out`` redirected to a worker-local file so
+    only the coordinator writes the user's artifact.
     """
     from . import cli as cli_mod
     from .cache import CACHE_DIR_ENV, CACHE_SHARED_ENV
@@ -756,6 +695,9 @@ def _dispatch_inner(argv: Sequence[str], cache_dir: Path,
         raise SystemExit("fleet campaigns cannot nest ('campaign %s' inside run)"
                          % getattr(args, "action", "?"))
     args.jobs = 1
+    executor = current()
+    if executor is not None:
+        executor.supervisor.cell_timeout_s = args.cell_timeout
     if not args.cache_dir:
         args.cache_dir = str(cache_dir)
     if out_override is not None:
@@ -781,10 +723,8 @@ def _merge_outputs(fleet_dir: Path, store: ArtifactStore) -> Tuple[int, int]:
             {"key": key, "sha256": record.sha256, "status": record.status},
             sort_keys=True, separators=(",", ":"),
         ))
-    journal_path = fleet_dir / MERGED_JOURNAL_NAME
-    tmp = journal_path.with_name(journal_path.name + ".tmp.%d" % os.getpid())
-    tmp.write_text("".join(line + "\n" for line in lines))
-    os.replace(tmp, journal_path)
+    write_atomic("".join(line + "\n" for line in lines).encode("utf-8"),
+                 fleet_dir / MERGED_JOURNAL_NAME)
     streams = eventbus.load_streams(fleet_dir)
     merged_count = eventbus.write_merged(streams, fleet_dir / MERGED_EVENTS_NAME)
     return len(lines), merged_count
@@ -835,13 +775,7 @@ def run_campaign(
     )
     previous_bus = eventbus.bus()
     eventbus.configure(paths["root"])
-    executor = FleetWorker(
-        paths["root"], worker_id=worker_id, role="coordinator",
-        lease_ttl_s=float(manifest["lease_ttl_s"]),
-        poll_s=float(manifest["poll_s"]),
-        drain_timeout_s=float(manifest["drain_timeout_s"]),
-        policy=RetryPolicy(max_attempts=int(manifest["retries"])),
-    )
+    executor = _manifest_executor(paths, manifest, worker_id, "coordinator")
     procs: List[subprocess.Popen] = []
     rc = 1
     try:
@@ -873,7 +807,7 @@ def run_campaign(
                       wall_s=round(time.time() - started, 3))
         executor.finish()
         cells, events = _merge_outputs(paths["root"], executor.store)
-        print(executor.stats.summary_line())
+        print(executor.stats.summary_line(executor.supervisor.stats))
         print(
             "fleet merge: %d cell(s) -> %s, %d event(s) -> %s"
             % (cells, paths["root"] / MERGED_JOURNAL_NAME,
@@ -931,15 +865,9 @@ def run_worker(
             )
         time.sleep(0.1)
     manifest = _load_manifest(paths["manifest"])
-    worker = FleetWorker(
-        paths["root"], worker_id=worker_id, role="worker",
-        lease_ttl_s=float(manifest.get("lease_ttl_s", 30.0)),
-        poll_s=float(manifest.get("poll_s", 0.2)),
-        drain_timeout_s=float(manifest.get("drain_timeout_s", 600.0)),
-        policy=RetryPolicy(max_attempts=int(manifest.get("retries", 3))),
-    )
+    worker = _manifest_executor(paths, manifest, worker_id, "worker")
     if hasattr(signal, "SIGTERM") and threading.current_thread() is threading.main_thread():
-        signal.signal(signal.SIGTERM, lambda signum, frame: worker.request_shutdown())
+        signal.signal(signal.SIGTERM, lambda signum, frame: worker.supervisor.request_shutdown())
     worker.register()
     drained = False
     rc = 0

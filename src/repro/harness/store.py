@@ -1,11 +1,13 @@
-"""Shared artifact store: cross-worker publication of finalized cells.
+"""Artifact store: checksummed publication of finalized cells.
 
 The fleet (:mod:`repro.harness.fleet`) runs one campaign across N
 independent processes -- possibly on different hosts -- coordinated
 only through a shared directory. The store is the half of that
 coordination that carries *results*: once any worker finalizes a cell,
 it publishes the outcome here and every other worker (and the
-coordinator's merge) reads it back instead of re-executing. Because
+coordinator's merge) reads it back instead of re-executing. The
+supervisor's checkpoint-resume journal keeps its ``ok`` results in a
+store too, so ``--resume`` is a verified fetch. Because
 every cell is a deterministic function of its content-addressed key
 (see :func:`repro.harness.supervisor.cell_key`), a fetched result is
 bit-identical to local re-execution -- the same soundness argument the
@@ -19,10 +21,11 @@ Record format -- one ``cell-<key>.res`` file per finalized cell:
 
 Durability and integrity discipline:
 
-* **atomic, same-directory publication** -- temp file + ``os.replace``
-  in the store directory itself, with an fsync before the rename
-  (matching ``save_record(..., fsync=True)``): a record that *exists*
-  is whole, even across a host crash on a network filesystem;
+* **atomic, same-directory publication** --
+  :func:`repro.core.persistence.write_atomic` (temp file +
+  ``os.replace`` in the store directory itself, with an fsync before
+  the rename unless ``fsync=False``): a record that *exists* is whole,
+  even across a host crash on a network filesystem;
 * **first writer wins** -- publication is idempotent; a second worker
   racing to publish the same key (both executed it before either saw
   the other's lease) keeps the existing record, which is byte-identical
@@ -30,7 +33,9 @@ Durability and integrity discipline:
 * **checksum-verified fetch** -- a record that fails its digest, fails
   to parse, or names the wrong key is quarantined (``*.corrupt``
   rename, the cache's convention) and reported as a miss, never an
-  exception: the fetching worker simply executes the cell itself.
+  exception: the fetching worker simply executes the cell itself
+  (:func:`repro.core.persistence.quarantine`, shared with the run
+  cache).
 
 Degraded cells (``quarantined`` / ``failed``) publish *tombstones* --
 status-only records with a None result -- so workers waiting on a cell
@@ -47,6 +52,7 @@ import pickle
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
+from ..core.persistence import quarantine, write_atomic
 from ..obs import eventbus
 from . import faults
 
@@ -126,17 +132,7 @@ class ArtifactStore:
             "sha256": hashlib.sha256(payload).hexdigest(),
         }
         body = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
-        tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
-        with open(tmp, "wb") as fp:
-            fp.write(body)
-            if self.fsync:
-                fp.flush()
-                os.fsync(fp.fileno())
-        os.replace(tmp, target)
-        if self.fsync:
-            from ..core.persistence import fsync_dir
-
-            fsync_dir(self.directory)
+        write_atomic(body, target, fsync=self.fsync)
         self.stats.publishes += 1
         eventbus.emit("store", action="publish", cell=key[:16], status=status)
         return CellRecord(
@@ -199,10 +195,7 @@ class ArtifactStore:
     def _quarantine(self, target: Path) -> None:
         self.stats.corrupt += 1
         eventbus.emit("store", action="corrupt", cell=target.name[:32])
-        try:
-            os.replace(target, target.with_name(target.name + ".corrupt"))
-        except OSError:
-            pass  # the quarantine rename itself must never crash a worker
+        quarantine(target)
 
     # -- Enumeration (the coordinator's merge walks the store) ---------
 

@@ -24,14 +24,20 @@ supervisor wraps every cell execution in a fault boundary:
   fail identically, so retrying burns budget without information.
 * **Checkpoint-resume** -- an optional :class:`CampaignJournal` records
   every finalized cell (keyed by the same content-addressed digests the
-  run cache uses) together with a checksummed pickle of its result, so
-  ``--resume`` skips finished work and re-attempts only the failure
-  tail. Because every cell is a deterministic function of its
-  arguments, a resumed campaign is bit-identical to an uninterrupted
-  one -- the property the resume tests guard.
+  run cache uses) and publishes each ``ok`` result to an
+  :class:`~repro.harness.store.ArtifactStore`, so ``--resume`` skips
+  finished work and re-attempts only the failure tail. Because every
+  cell is a deterministic function of its arguments, a resumed campaign
+  is bit-identical to an uninterrupted one -- the property the resume
+  tests guard.
 * **Crash dossiers** -- every fault is captured as a JSON dossier
   (fault taxonomy record plus a flight-recorder snapshot when one is
   installed) before the worker is torn down.
+
+:meth:`Supervisor.run_cell` is the one attempt loop: the serial path
+runs every cell through it, and a fleet executor
+(:mod:`repro.harness.fleet`) runs each leased cell through it too. The
+process-per-cell ``--jobs`` path shares its post-fault decision.
 
 The supervisor is **opt-in**: :func:`repro.harness.parallel.map_units`
 consults :func:`current` and takes its historical path when no
@@ -46,7 +52,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import signal
 import threading
 import time
@@ -59,6 +64,7 @@ from ..obs import eventbus
 from ..core.persistence import save_record
 from . import faults
 from .runner import TIMEOUT_FACTOR, TIMEOUT_FLOOR_MS
+from .store import ArtifactStore, CellRecord
 
 #: Watchdog floor, inherited from the per-test timeout convention.
 WATCHDOG_FLOOR_S = TIMEOUT_FLOOR_MS / 1000.0
@@ -177,49 +183,23 @@ class RetryPolicy:
 
 
 class CampaignJournal:
-    """Append-only ledger of finalized cells plus checksummed results.
+    """Checkpoint-resume state: a ledger plus a result store.
 
-    One JSONL line per finalized cell (``ok`` | ``quarantined`` |
-    ``failed``) and, for ``ok`` cells, an atomically-written pickle of
-    the result whose SHA-256 is recorded in the line. On load, a
-    truncated tail line (campaign killed mid-append) is tolerated and
-    an ``ok`` entry whose pickle is missing or fails its checksum is
-    dropped -- the cell simply reruns. Only ``ok`` cells are skipped on
-    resume; the failure tail is always re-attempted.
+    ``journal.jsonl`` gets one append-only line per finalized cell
+    (``ok`` | ``quarantined`` | ``failed``), like a fleet worker's
+    ``journal-<worker>.jsonl``. Each ``ok`` result is published to an
+    :class:`~repro.harness.store.ArtifactStore` in the same directory,
+    and resume is a checksum-verified fetch from that store, so the
+    ledger is never read back: a torn ledger line cannot block a
+    resume, and a corrupt record is quarantined as a miss and the cell
+    reruns. Degraded cells publish nothing, so the failure tail is
+    always re-attempted.
     """
 
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.store = ArtifactStore(self.directory, fsync=False)
         self.path = self.directory / JOURNAL_NAME
-        self.entries: Dict[str, dict] = {}
-        self.recovered_truncated = 0
-        self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        lines = self.path.read_text().splitlines()
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    # Torn tail: the campaign died mid-append. The cell
-                    # was never acknowledged, so dropping the line is
-                    # exactly a rerun of that cell.
-                    self.recovered_truncated += 1
-                    continue
-                raise faults.CorruptRecordFault(
-                    "journal %s: undecodable line %d (not the tail)" % (self.path, index + 1)
-                )
-            self.entries[entry["key"]] = entry
-
-    def result_path(self, key: str) -> Path:
-        return self.directory / ("result-%s.pkl" % key)
 
     def record(self, key: str, status: str, attempts: int, fault_list: List[dict],
                result: Any = None) -> None:
@@ -227,36 +207,11 @@ class CampaignJournal:
         if fault_list:
             entry["faults"] = fault_list
         if status == "ok":
-            blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            entry["sha256"] = hashlib.sha256(blob).hexdigest()
-            target = self.result_path(key)
-            tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
-            tmp.write_bytes(blob)
-            os.replace(tmp, target)
-        self.entries[key] = entry
+            entry["sha256"] = self.store.publish(key, status, result, attempts=attempts).sha256
         with open(self.path, "a") as fp:
             fp.write(json.dumps(entry, sort_keys=True) + "\n")
             fp.flush()
         eventbus.emit("checkpoint", cell=key[:16], status=status, attempts=attempts)
-
-    def load_result(self, key: str) -> Any:
-        """The journaled result for an ``ok`` cell, checksum-verified.
-
-        Raises :class:`~repro.harness.faults.CorruptRecordFault` when
-        the pickle is missing, truncated or fails its digest; callers
-        treat that as "not finished" and rerun the cell.
-        """
-        entry = self.entries.get(key)
-        if entry is None or entry.get("status") != "ok":
-            raise faults.CorruptRecordFault("journal has no completed result for %s" % key)
-        path = self.result_path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            raise faults.CorruptRecordFault("result pickle unreadable: %s" % exc)
-        if hashlib.sha256(blob).hexdigest() != entry.get("sha256"):
-            raise faults.CorruptRecordFault("result pickle failed checksum: %s" % path)
-        return pickle.loads(blob)
 
 
 # ----------------------------------------------------------------------
@@ -276,9 +231,6 @@ class CampaignStats:
     @property
     def cells(self) -> int:
         return self.ok + self.quarantined + self.failed + self.resumed
-
-    def count_fault(self, kind: str) -> None:
-        self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
 
     def summary_line(self) -> str:
         """The end-of-run degradation summary the CLI prints."""
@@ -341,6 +293,24 @@ def _child_entry(conn, fn, args, key: str, attempt: int) -> None:
             pass
 
 
+def _kill(proc) -> None:
+    """Terminate a cell's worker process, escalating to SIGKILL."""
+    proc.terminate()
+    proc.join(timeout=2.0)
+    if proc.is_alive():
+        proc.kill()
+
+
+class CellDrained(Exception):
+    """A shutdown request arrived during a cell's retry backoff; the
+    cell was left unfinalized after ``attempt`` attempts."""
+
+    def __init__(self, attempt: int, fault_list: List[dict]):
+        super().__init__("drained after attempt %d" % attempt)
+        self.attempt = attempt
+        self.fault_list = fault_list
+
+
 class Supervisor:
     """Fault boundary around a campaign's cell executions.
 
@@ -370,7 +340,6 @@ class Supervisor:
         self.sleep = sleep if sleep is not None else self._interruptible_sleep
         self._dossier_dir = Path(dossier_dir) if dossier_dir is not None else None
         self._wall_times: List[float] = []
-        self._dossiers_written = 0
 
     def request_shutdown(self) -> None:
         """Ask the supervisor to drain at the next fault boundary."""
@@ -452,7 +421,6 @@ class Supervisor:
             "unix_time": round(time.time(), 3),
             "flightrec": flight.snapshot()[-256:] if flight is not None else None,
         }
-        self._dossiers_written += 1
         try:
             save_record(payload, Path(target) / ("crash-%s-a%d.json" % (key[:16], attempt)))
         except OSError:
@@ -460,7 +428,8 @@ class Supervisor:
 
     def _account_fault(self, exc: BaseException, key: str, attempt: int) -> dict:
         record = faults.describe(exc)
-        self.stats.count_fault(record["kind"])
+        counts = self.stats.fault_counts
+        counts[record["kind"]] = counts.get(record["kind"], 0) + 1
         session = obs.session()
         if session is not None:
             counter = session.c_faults.get(record["kind"])
@@ -479,102 +448,118 @@ class Supervisor:
         self._write_dossier(key, attempt, record)
         return record
 
-    def _finalize_ok(self, key: str, result: Any, attempt: int, fault_list: List[dict],
-                     wall_s: Optional[float]) -> Any:
-        self.stats.ok += 1
-        if attempt > 1:
-            self.stats.retried += 1
-            session = obs.session()
-            if session is not None:
-                session.c_cells_retried.inc()
-        if wall_s is not None:
+    def finalize(self, key: str, status: str, attempt: int, fault_list: List[dict],
+                  result: Any = None, wall_s: float = 0.0) -> Any:
+        """Count a cell's verdict (ok | quarantined | failed), journal it
+        and emit its ``cell_end``; returns the result (None unless ok)."""
+        session = obs.session()
+        if status == "ok":
+            self.stats.ok += 1
             self._wall_times.append(wall_s)
-        if self.journal is not None:
-            self.journal.record(key, "ok", attempt, fault_list, result=result)
-        bus = eventbus.bus()
-        if bus is not None:
-            bus.emit("cell_end", cell=key[:16], status="ok", attempt=attempt,
-                     wall_s=round(wall_s, 4) if wall_s is not None else 0.0)
-            bus.maybe_flush()
-        return result
-
-    def _finalize_degraded(self, key: str, status: str, attempt: int,
-                           fault_list: List[dict]) -> None:
-        if status == "quarantined":
+            if attempt > 1:
+                self.stats.retried += 1
+                if session is not None:
+                    session.c_cells_retried.inc()
+        elif status == "quarantined":
             self.stats.quarantined += 1
-            session = obs.session()
             if session is not None:
                 session.c_cells_quarantined.inc()
         else:
             self.stats.failed += 1
         if self.journal is not None:
-            self.journal.record(key, status, attempt, fault_list)
+            self.journal.record(key, status, attempt, fault_list, result=result)
         bus = eventbus.bus()
-        if bus is not None:
+        if bus is not None and status == "ok":
+            bus.emit("cell_end", cell=key[:16], status=status, attempt=attempt,
+                     wall_s=round(wall_s, 4))
+            bus.maybe_flush()
+        elif bus is not None:
             bus.emit("cell_end", cell=key[:16], status=status, attempt=attempt)
             bus.flush()  # degraded cells are rare and worth immediate durability
+        return result
 
     # -- Resume --------------------------------------------------------
 
-    def _try_resume(self, key: str) -> Tuple[bool, Any]:
-        """(hit, result): satisfy a cell from the journal when possible."""
-        if self.journal is None:
-            return False, None
-        entry = self.journal.entries.get(key)
-        if entry is None or entry.get("status") != "ok":
-            return False, None
-        try:
-            result = self.journal.load_result(key)
-        except faults.CorruptRecordFault:
-            return False, None  # rerun; the journal entry is superseded
+    def _try_resume(self, key: str) -> Optional[CellRecord]:
+        """The journal's verified ``ok`` record for a cell, if any."""
+        record = self.journal.store.fetch(key) if self.journal is not None else None
+        if record is None or not record.ok:
+            return None
         self.stats.resumed += 1
         session = obs.session()
         if session is not None:
             session.c_cells_resumed.inc()
         eventbus.emit("cell_resumed", cell=key[:16])
-        return True, result
+        return record
 
-    # -- Serial execution ----------------------------------------------
+    # -- The attempt loop ----------------------------------------------
 
-    def _run_cell_serial(self, fn: Callable[..., Any], args: Tuple, key: str) -> Any:
+    def _after_fault(self, exc: BaseException, key: str, attempt: int,
+                     fault_list: List[dict]) -> Optional[float]:
+        """The post-fault decision every execution path shares.
+
+        Accounts the fault, then either finalizes the cell --
+        quarantined for a deterministic fault, failed once the attempt
+        budget is spent -- and returns None, or announces the retry and
+        returns its backoff in seconds.
+        """
+        fault_list.append(self._account_fault(exc, key, attempt))
+        kind, retryable = faults.classify(exc)
+        if not retryable or attempt >= self.policy.max_attempts:
+            status = "failed" if retryable else "quarantined"
+            self.finalize(key, status, attempt, fault_list)
+            return None
+        backoff = self.policy.backoff_s(key, attempt)
+        eventbus.emit("cell_retry", cell=key[:16], attempt=attempt + 1,
+                      backoff_s=round(backoff, 4), kind=kind)
+        return backoff
+
+    def run_cell(self, fn: Callable[..., Any], args: Tuple, key: str, attempt: int = 1,
+                 in_child: bool = False,
+                 on_retry: Optional[Callable[[int], Any]] = None) -> Tuple[str, int, Any]:
+        """Run one cell in this process until it has a verdict.
+
+        Each attempt runs under the watchdog and the chaos prelude
+        (``in_child``: an injected crash is a real ``os._exit``, as in
+        a fleet worker process). After a retryable fault the loop
+        sleeps the policy's backoff and calls ``on_retry(next
+        attempt)`` before trying again. Returns ``(status, attempt,
+        result)`` with the cell finalized; raises :class:`CellDrained`,
+        with the cell not finalized, when a shutdown request arrives
+        during a backoff.
+        """
         from .parallel import _call_unit
 
         fault_list: List[dict] = []
-        for attempt in range(1, self.policy.max_attempts + 1):
+        while True:
             eventbus.emit("cell_begin", cell=key[:16], unit=fn.__name__, attempt=attempt)
+            # Visible at once to live `campaign status`, and kept in the
+            # stream of an executor that dies inside the cell.
+            eventbus.flush()
+            deadline_s = self.watchdog_s()
             started = time.perf_counter()
             try:
-                with self._serial_watchdog(self.watchdog_s(), key):
-                    faults.cell_prelude(key, attempt, in_child=False)
+                with self._serial_watchdog(deadline_s, key):
+                    faults.cell_prelude(key, attempt, in_child=in_child)
                     result = _call_unit(fn, args)
-                return self._finalize_ok(
-                    key, result, attempt, fault_list, time.perf_counter() - started
-                )
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:  # noqa: BLE001 - the boundary's job
-                fault_list.append(self._account_fault(exc, key, attempt))
-                kind, retryable = faults.classify(exc)
                 if isinstance(exc, faults.CellHangFault):
-                    eventbus.emit("watchdog", cell=key[:16],
-                                  deadline_s=round(self.watchdog_s(), 3))
-                if not retryable:
-                    self._finalize_degraded(key, "quarantined", attempt, fault_list)
-                    return None
-                if attempt >= self.policy.max_attempts:
-                    self._finalize_degraded(key, "failed", attempt, fault_list)
-                    return None
-                backoff = self.policy.backoff_s(key, attempt)
-                eventbus.emit("cell_retry", cell=key[:16], attempt=attempt + 1,
-                              backoff_s=round(backoff, 4), kind=kind)
+                    eventbus.emit("watchdog", cell=key[:16], deadline_s=round(deadline_s, 3))
+                backoff = self._after_fault(exc, key, attempt, fault_list)
+                if backoff is None:
+                    status = "failed" if fault_list[-1]["retryable"] else "quarantined"
+                    return status, attempt, None
                 self.sleep(backoff)
                 if self.shutdown.is_set():
-                    # Draining: finalize the tail as failed rather than
-                    # holding resources (a fleet lease, a terminal)
-                    # through the remaining attempts.
-                    self._finalize_degraded(key, "failed", attempt, fault_list)
-                    return None
-        return None  # unreachable
+                    raise CellDrained(attempt, fault_list)
+                attempt += 1
+                if on_retry is not None:
+                    on_retry(attempt)
+            else:
+                return "ok", attempt, self.finalize(
+                    key, "ok", attempt, fault_list, result, time.perf_counter() - started)
 
     # -- Parallel execution --------------------------------------------
 
@@ -631,42 +616,23 @@ class Supervisor:
             cell["proc"].join(timeout=5.0)
             conn.close()
             if exc is None:
-                results[index] = self._finalize_ok(
-                    key, result, attempt, cell["faults"],
-                    time.monotonic() - cell["started"],
-                )
+                results[index] = self.finalize(key, "ok", attempt, cell["faults"], result,
+                                               time.monotonic() - cell["started"])
                 return
-            cell["faults"].append(self._account_fault(exc, key, attempt))
-            kind, retryable = faults.classify(exc)
-            if not retryable:
-                self._finalize_degraded(key, "quarantined", attempt, cell["faults"])
-            elif attempt >= self.policy.max_attempts:
-                self._finalize_degraded(key, "failed", attempt, cell["faults"])
-            else:
-                backoff = self.policy.backoff_s(key, attempt)
-                eventbus.emit("cell_retry", cell=key[:16], attempt=attempt + 1,
-                              backoff_s=round(backoff, 4), kind=kind)
-                ready_at = time.monotonic() + backoff
-                queue.append((index, attempt + 1, ready_at, cell["faults"]))
+            backoff = self._after_fault(exc, key, attempt, cell["faults"])
+            if backoff is not None:
+                queue.append((index, attempt + 1, time.monotonic() + backoff, cell["faults"]))
 
         while queue or inflight:
             if self.shutdown.is_set():
                 # Draining: kill in-flight workers and finalize every
                 # cell still owed a result as failed, promptly.
-                for conn, cell in list(inflight.items()):
-                    proc = cell["proc"]
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-                    if proc.is_alive():
-                        proc.kill()
+                for conn, cell in inflight.items():
+                    _kill(cell["proc"])
                     conn.close()
-                    self._finalize_degraded(
-                        keys[cell["index"]], "failed", cell["attempt"], cell["faults"]
-                    )
-                inflight.clear()
+                    queue.append((cell["index"], cell["attempt"], 0.0, cell["faults"]))
                 for index, attempt, _, fault_list in queue:
-                    self._finalize_degraded(keys[index], "failed", attempt, fault_list)
-                queue.clear()
+                    self.finalize(keys[index], "failed", attempt, fault_list)
                 break
             now = time.monotonic()
             # Launch every ready cell a worker slot exists for.
@@ -719,10 +685,7 @@ class Supervisor:
                     cell=keys[cell["index"]][:16],
                     deadline_s=round(cell["deadline"] - cell["started"], 3),
                 )
-                proc.terminate()
-                proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.kill()
+                _kill(proc)
                 settle(conn, cell, hang, None)
 
     # -- Entry point ---------------------------------------------------
@@ -744,17 +707,23 @@ class Supervisor:
         results: List[Any] = [None] * len(units)
         pending: List[int] = []
         for index, key in enumerate(keys):
-            hit, result = self._try_resume(key)
-            if hit:
-                results[index] = result
-            else:
+            record = self._try_resume(key)
+            if record is None:
                 pending.append(index)
+            else:
+                results[index] = record.result
         if not pending:
             return results
         jobs = resolve_jobs(jobs)
         if jobs <= 1 or len(pending) <= 1:
             for index in pending:
-                results[index] = self._run_cell_serial(fn, units[index], keys[index])
+                try:
+                    results[index] = self.run_cell(fn, units[index], keys[index])[2]
+                except CellDrained as drained:
+                    # Draining: finalize the tail as failed rather than
+                    # holding resources through the remaining attempts.
+                    self.finalize(keys[index], "failed", drained.attempt,
+                                  drained.fault_list)
         else:
             self._run_parallel(fn, units, keys, pending, results, min(jobs, len(pending)))
         return results

@@ -433,15 +433,15 @@ def write_merged(streams: Sequence[EventStream], out_path: os.PathLike) -> int:
         "writer": "merged",
         "merged_from": sorted(s.meta.writer for s in streams),
     }
-    target = Path(out_path)
+    # Imported here: core's modules import obs at load time.
+    from ..core.persistence import write_atomic
+
     dumps = json.dumps
     body = "".join(
         dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
         for record in [meta] + merged
     )
-    tmp = target.with_name(target.name + ".tmp.%d" % os.getpid())
-    tmp.write_text(body)
-    os.replace(tmp, target)
+    write_atomic(body.encode("utf-8"), out_path)
     return len(merged)
 
 

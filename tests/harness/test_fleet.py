@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import faults, fleet, parallel
+from repro.harness.cache import CACHE_DIR_ENV, CACHE_SHARED_ENV
 from repro.harness.fleet import FleetDrained, FleetWorker
 from repro.harness.supervisor import RetryPolicy, cell_key
 from repro.obs import eventbus
@@ -161,14 +162,14 @@ class TestMapCells:
         _FLAKY_CALLS["n"] = 0
         worker = make_worker(tmp_path, "retrier")
         assert worker.map_cells(flaky_square, [(6,)]) == [36]
-        assert worker.stats.retried == 1
+        assert worker.supervisor.stats.retried == 1
         record = worker.store.fetch(cell_key(flaky_square, (6,)))
         assert record.ok and record.attempts == 2
 
     def test_deterministic_failure_quarantines_with_tombstone(self, tmp_path):
         worker = make_worker(tmp_path, "quarantiner")
         assert worker.map_cells(always_deterministic_failure, [(1,)]) == [None]
-        assert worker.stats.quarantined == 1
+        assert worker.supervisor.stats.quarantined == 1
         record = worker.store.fetch(cell_key(always_deterministic_failure, (1,)))
         assert record.status == "quarantined"
         assert record.result is None
@@ -176,7 +177,7 @@ class TestMapCells:
     def test_attempt_budget_exhaustion_fails_the_cell(self, tmp_path):
         worker = make_worker(tmp_path, "exhausted", policy=fast_policy(max_attempts=2))
         assert worker.map_cells(always_transient_failure, [(1,)]) == [None]
-        assert worker.stats.failed == 1
+        assert worker.supervisor.stats.failed == 1
         record = worker.store.fetch(cell_key(always_transient_failure, (1,)))
         assert record.status == "failed"
         assert record.attempts == 2
@@ -189,7 +190,7 @@ class TestMapCells:
 
     def test_drain_request_raises_and_releases(self, tmp_path):
         worker = make_worker(tmp_path, "drainer")
-        worker.request_shutdown()
+        worker.supervisor.request_shutdown()
         with pytest.raises(FleetDrained):
             worker.map_cells(square, [(x,) for x in range(3)])
         assert not list((tmp_path / "fleet" / "leases").iterdir())
@@ -198,8 +199,8 @@ class TestMapCells:
         faults.configure("seed=1,worker_crash=1.0,attempts=1")
         worker = make_worker(tmp_path, "coord", role="coordinator")
         assert worker.map_cells(square, [(x,) for x in range(3)]) == [0, 1, 4]
-        assert worker.stats.retried == 3  # every cell crashed once, then ran clean
-        assert worker.stats.fault_counts.get("worker_crash") == 3
+        assert worker.supervisor.stats.retried == 3  # every cell crashed once, then ran clean
+        assert worker.supervisor.stats.fault_counts.get("worker_crash") == 3
 
     def test_map_units_routes_through_an_active_fleet(self, tmp_path):
         worker = make_worker(tmp_path, "routed")
@@ -219,6 +220,47 @@ class TestMapCells:
         assert live.map_cells(square, [(5,)]) == [25]
         assert live.stats.stolen == 1
         assert live.store.fetch(key).attempts == 2
+
+
+@pytest.mark.tier2
+class TestFleetWatchdog:
+    """A fleet cell runs inside the supervisor's fault boundary, so a
+    hang is killed at the cell deadline instead of holding the executor
+    (and, through its heartbeat, the lease) for as long as it lasts."""
+
+    def test_hung_coordinator_cell_is_killed_and_retried(self, tmp_path):
+        faults.configure("seed=0,hang=1.0,hang_s=30")
+        worker = make_worker(tmp_path, "coord", role="coordinator")
+        worker.supervisor.cell_timeout_s = 0.5
+        started = time.monotonic()
+        assert worker.map_cells(square, [(4,)]) == [16]
+        assert time.monotonic() - started < 10.0
+        assert worker.supervisor.stats.fault_counts == {"hang": 1}
+        assert worker.supervisor.stats.retried == 1
+        assert list((tmp_path / "fleet").glob("crash-*.json"))
+        assert worker.store.fetch(cell_key(square, (4,))).attempts == 2
+
+    def test_inner_cell_timeout_reaches_the_fleet_boundary(self, tmp_path, monkeypatch):
+        # _dispatch_inner exports the shared-cache variables; restore them.
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        monkeypatch.delenv(CACHE_SHARED_ENV, raising=False)
+        faults.configure("seed=0,hang=1.0,hang_s=30")
+        worker = make_worker(tmp_path, "coord", role="coordinator")
+        fleet.activate(worker)
+        started = time.monotonic()
+        try:
+            rc = fleet._dispatch_inner(
+                ["fuzz", "--seed-range", "0:1", "--budget", "2", "--no-replay",
+                 "--cell-timeout", "0.5", "--out", str(tmp_path / "out.txt")],
+                tmp_path / "cache",
+            )
+        finally:
+            fleet.deactivate()
+        assert rc == 0
+        assert time.monotonic() - started < 10.0
+        assert worker.supervisor.watchdog_s() == 0.5
+        assert worker.supervisor.stats.fault_counts == {"hang": 1}
+        assert worker.supervisor.stats.ok == 1
 
 
 class TestLeaseLedger:
