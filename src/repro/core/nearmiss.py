@@ -37,6 +37,15 @@ OrderFilter = Callable[[AccessEvent, AccessEvent], bool]
 PairSink = Callable[[CandidatePair, bool], None]
 
 
+def _drop_stale(window: List[AccessEvent], horizon: float) -> None:
+    """Drop the leading events of a window whose first one is older
+    than ``horizon`` (windows are timestamp-ordered)."""
+    stale = 1
+    while stale < len(window) and window[stale].timestamp < horizon:
+        stale += 1
+    del window[:stale]
+
+
 class NearMissTracker:
     """Incremental MemOrder near-miss matching over an event stream."""
 
@@ -53,8 +62,14 @@ class NearMissTracker:
         self.candidates = candidates if candidates is not None else CandidateSet()
         self.order_filter = order_filter
         self.on_pair = on_pair
-        #: Per-object recent-event windows (object id -> deque).
-        self._recent: Dict[int, Deque[AccessEvent]] = {}
+        #: Per-object windows of the only openers (object id -> list):
+        #: INITs, which a USE closes, and USEs, which a DISPOSE closes.
+        #: Each is a timestamp-ordered subsequence of the object's
+        #: recent events, pruned on every append; DISPOSEs open no
+        #: pattern and are never stored. Lists, not deques: most hold
+        #: one or two events, and a deque allocates a 64-slot block.
+        self._inits: Dict[int, List[AccessEvent]] = {}
+        self._uses: Dict[int, List[AccessEvent]] = {}
         #: Near-miss matches emitted over the tracker's lifetime (every
         #: (re)added pair vs. first-time-seen pairs only).
         self.pairs_observed: int = 0
@@ -67,42 +82,47 @@ class NearMissTracker:
 
     def observe(self, event: AccessEvent) -> List[CandidatePair]:
         """Feed one event (in timestamp order); returns pairs (re)added."""
-        if event.access_type is AccessType.UNSAFE_CALL:
-            return self._NO_PAIRS
+        access_type = event.access_type
         object_id = event.object_id
-        if object_id < 0:
-            # A faulting access through a null reference carries no
-            # object identity; it cannot participate in near-miss
-            # matching (the bug already manifested anyway).
+        if access_type is AccessType.UNSAFE_CALL or object_id < 0:
+            # UNSAFE_CALLs are TsvNearMissTracker's. A faulting access
+            # through a null reference carries no object identity; it
+            # cannot participate in near-miss matching (the bug already
+            # manifested anyway).
             return self._NO_PAIRS
-        recent = self._recent
-        window = recent.get(object_id)
-        if window is None:
-            window = recent[object_id] = deque()
         timestamp = event.timestamp
         horizon = timestamp - self.window_ms
-        while window and window[0].timestamp < horizon:
-            window.popleft()
-
-        access_type = event.access_type
-        if not window or access_type is AccessType.INIT:
-            # No near-miss pattern ends in an INIT.
-            window.append(event)
+        if access_type is AccessType.DISPOSE:
+            # A DISPOSE closes only USE -> DISPOSE and opens nothing.
+            window = self._uses.get(object_id)
+            kind = CandidateKind.USE_AFTER_FREE
+        else:
+            table = self._inits if access_type is AccessType.INIT else self._uses
+            own = table.get(object_id)
+            if own is None:
+                table[object_id] = [event]
+            else:
+                if own and own[0].timestamp < horizon:
+                    _drop_stale(own, horizon)
+                own.append(event)
+            if access_type is AccessType.INIT:
+                # No near-miss pattern ends in an INIT.
+                return self._NO_PAIRS
+            # A USE closes only INIT -> USE (CandidateKind.from_access_pair).
+            window = self._inits.get(object_id)
+            kind = CandidateKind.USE_BEFORE_INIT
+        if window and window[0].timestamp < horizon:
+            _drop_stale(window, horizon)
+        if not window:
             return self._NO_PAIRS
 
-        # A USE closes only INIT -> USE, a DISPOSE only USE -> DISPOSE
-        # (CandidateKind.from_access_pair).
-        if access_type is AccessType.USE:
-            opener, kind = AccessType.INIT, CandidateKind.USE_BEFORE_INIT
-        else:
-            opener, kind = AccessType.USE, CandidateKind.USE_AFTER_FREE
         thread_id = event.thread_id
         order_filter = self.order_filter
         candidates = self.candidates
         on_pair = self.on_pair
         added: List[CandidatePair] = []
         for earlier in window:
-            if earlier.access_type is not opener or earlier.thread_id == thread_id:
+            if earlier.thread_id == thread_id:
                 continue
             if order_filter is not None and order_filter(earlier, event):
                 candidates.pruned_parent_child += 1
@@ -154,8 +174,6 @@ class NearMissTracker:
             if on_pair is not None:
                 on_pair(pair, is_new)
             added.append(pair)
-
-        window.append(event)
         return added
 
     def observe_all(self, events) -> CandidateSet:

@@ -33,10 +33,6 @@ _KIND_MAP = {
 }
 
 
-def is_generated_name(name: str) -> bool:
-    return bool(_APP_RE.match(name)) or parse_workload_name(name) is not None
-
-
 def gen_app(seed: int) -> Application:
     """Build the synthetic Application for one generator seed."""
     spec = generate_spec(seed)

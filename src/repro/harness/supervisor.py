@@ -717,6 +717,11 @@ class Supervisor:
         jobs = resolve_jobs(jobs)
         if jobs <= 1 or len(pending) <= 1:
             for index in pending:
+                if self.shutdown.is_set():
+                    # Draining: no new cell starts; each one still owed
+                    # a result is finalized failed, as in _run_parallel.
+                    self.finalize(keys[index], "failed", 1, [])
+                    continue
                 try:
                     results[index] = self.run_cell(fn, units[index], keys[index])[2]
                 except CellDrained as drained:

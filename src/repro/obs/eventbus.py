@@ -50,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Bump when an event's field semantics change; readers warn on
 #: mismatch instead of misinterpreting old streams. Version 2 added
@@ -443,11 +443,3 @@ def write_merged(streams: Sequence[EventStream], out_path: os.PathLike) -> int:
     )
     write_atomic(body.encode("utf-8"), out_path)
     return len(merged)
-
-
-def counts_by_type(events: Iterable[dict]) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for event in events:
-        key = event.get("type", "?")
-        out[key] = out.get(key, 0) + 1
-    return out

@@ -31,7 +31,7 @@ from .instrument import (
     Location,
 )
 from .refs import HeapObject, Ref
-from .scheduler import RunResult, Scheduler, Sleep, YIELD
+from .scheduler import BLOCK, QUEUED, RunResult, Scheduler
 from .sync import Barrier, Channel, Condition, Event, Lock, RLock, Semaphore
 from .thread import SimThread
 from .unsafe_api import ActiveCallTable, UnsafeCollection, UnsafeDict, UnsafeList
@@ -78,7 +78,7 @@ class Simulation:
     @property
     def now(self) -> float:
         """Current virtual time in milliseconds."""
-        return self.scheduler.clock.now
+        return self.scheduler.clock._now
 
     @property
     def hook(self) -> InstrumentationHook:
@@ -113,8 +113,6 @@ class Simulation:
         me = self.current_thread
         while thread.is_alive:
             thread.joiners.append(me)
-            from .scheduler import BLOCK
-
             yield BLOCK
         return thread.result
 
@@ -134,19 +132,28 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def sleep(self, duration_ms: float) -> Generator[Any, Any, None]:
-        """Suspend the current thread for ``duration_ms`` virtual ms."""
-        yield Sleep(duration_ms)
+        """Suspend the current thread for ``duration_ms`` virtual ms
+        (none when not positive)."""
+        sched = self.scheduler
+        now = sched.clock._now
+        if not sched.sleep_until(now + duration_ms if duration_ms > 0 else now):
+            yield QUEUED
 
     def compute(self, duration_ms: float, jitter: bool = True) -> Generator[Any, Any, None]:
         """Model CPU work; jittered by the cost model's noise factor."""
+        sched = self.scheduler
         if jitter:
-            frac = self.scheduler.cost_model.jitter_frac
-            duration_ms *= self.scheduler.rng.uniform(1.0 - frac, 1.0 + frac)
-        yield Sleep(duration_ms)
+            frac = sched.cost_model.jitter_frac
+            duration_ms *= sched.rng.uniform(1.0 - frac, 1.0 + frac)
+        now = sched.clock._now
+        if not sched.sleep_until(now + duration_ms if duration_ms > 0 else now):
+            yield QUEUED
 
     def pause(self) -> Generator[Any, Any, None]:
         """Cooperatively yield the processor without advancing time."""
-        yield YIELD
+        sched = self.scheduler
+        if not sched.sleep_until(sched.clock._now):
+            yield QUEUED
 
     # ------------------------------------------------------------------
     # Factories
@@ -300,7 +307,9 @@ class Simulation:
             deref=ref,
         )
         if duration > 0:
-            yield Sleep(duration)
+            sched = self.scheduler
+            if not sched.sleep_until(sched.clock._now + duration):
+                yield QUEUED
         return obj
 
     def call(
@@ -340,12 +349,13 @@ class Simulation:
         """
         location = self._loc(loc)
         thread = self.current_thread
-        clock = self.scheduler.clock
+        sched = self.scheduler
+        clock = sched.clock
         calls = self._unsafe_calls
         oid = collection.oid
 
         def action() -> None:
-            start = clock.now
+            start = clock._now
             calls.begin(oid, thread.tid, location, start, start + duration)
 
         yield from self._instrumented(
@@ -357,8 +367,8 @@ class Simulation:
             action,
             duration=duration,
         )
-        if duration > 0:
-            yield Sleep(duration)
+        if duration > 0 and not sched.sleep_until(clock._now + duration):
+            yield QUEUED
         calls.end(oid, thread.tid, location)
         return collection.apply(api, *args)
 
@@ -405,7 +415,7 @@ class Simulation:
         hook = sched.hook
         clock = sched.clock
         event = AccessEvent(
-            location, access_type, object_id, thread.tid, clock.now,
+            location, access_type, object_id, thread.tid, clock._now,
             ref_name, member, duration, 0.0, None, -1,
         )
         delay = hook.before_access(event)
@@ -416,9 +426,14 @@ class Simulation:
                 raise TypeError("hook.before_access must return a number, got %r" % (delay,))
         if delay > 0.0:
             event.injected_delay = delay
-            yield Sleep(delay)
-        yield Sleep(sched.cost_model.sample_op_cost(sched.rng) + hook.per_op_overhead_ms)
-        event.timestamp = clock.now
+            if not sched.sleep_until(clock._now + delay):
+                yield QUEUED
+        # The cost is drawn once the delay is over: other threads draw
+        # from the same RNG while this one sleeps.
+        cost = sched.cost_model.sample_op_cost(sched.rng) + hook.per_op_overhead_ms
+        if not sched.sleep_until(clock._now + cost if cost > 0.0 else clock._now):
+            yield QUEUED
+        event.timestamp = clock._now
         # Through the module, so a reset of the id stream takes effect.
         event.event_id = next(instrument._event_seq)
         sched.result.op_count += 1

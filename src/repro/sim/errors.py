@@ -50,15 +50,6 @@ class DeadlockError(SimulationError):
         self.blocked_threads = list(blocked_threads)
 
 
-class ThreadCrashed(SimulationError):
-    """Wrapper carrying an exception that escaped a simulated thread."""
-
-    def __init__(self, thread_name, original):
-        super().__init__("thread %r crashed: %r" % (thread_name, original))
-        self.thread_name = thread_name
-        self.original = original
-
-
 class SimulationTimeout(SimulationError):
     """The virtual clock exceeded the configured time limit."""
 

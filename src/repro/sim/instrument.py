@@ -195,7 +195,7 @@ class CostModel:
     makes MemOrder bugs probabilistic in the first place.
     """
 
-    __slots__ = ("op_cost_ms", "jitter_frac")
+    __slots__ = ("op_cost_ms", "jitter_frac", "_lo", "_span")
 
     def __init__(self, op_cost_ms: float = 0.3, jitter_frac: float = 0.35):
         if op_cost_ms <= 0:
@@ -204,12 +204,13 @@ class CostModel:
             raise ValueError("jitter_frac must be in [0, 1)")
         self.op_cost_ms = op_cost_ms
         self.jitter_frac = jitter_frac
+        # ``rng.uniform(lo, hi)`` computes ``lo + (hi - lo) * random()``;
+        # precomputed here with the same operations, so bit-identical.
+        self._lo = 1.0 - jitter_frac
+        self._span = (1.0 + jitter_frac) - self._lo
 
     def sample_op_cost(self, rng) -> float:
         """Draw the cost of one operation, with seeded jitter."""
         if self.jitter_frac == 0:
             return self.op_cost_ms
-        lo = 1.0 - self.jitter_frac
-        hi = 1.0 + self.jitter_frac
-        # ``rng.uniform(lo, hi)``'s own arithmetic, without the call.
-        return self.op_cost_ms * (lo + (hi - lo) * rng.random())
+        return self.op_cost_ms * (self._lo + self._span * rng.random())

@@ -3,9 +3,13 @@
 The scheduler drives :class:`~repro.sim.thread.SimThread` generators.
 Every time-consuming action in the simulated program -- computing,
 sleeping, the execution cost of an instrumented operation, and the
-delays injected by the tools under test -- is expressed as a ``Sleep``
-command, so the simulation reduces to a priority queue ordered by
-virtual wake time. Threads blocked on synchronization primitives leave
+delays injected by the tools under test -- goes through
+:meth:`Scheduler.sleep_until`, so the simulation reduces to a priority
+queue ordered by virtual wake time. A sleep that would wake before
+every other queued thread runs ahead in place: the clock moves and the
+thread keeps running without yielding. Any other sleep queues the
+thread itself, which then yields ``QUEUED`` to hand control back.
+Threads blocked on synchronization primitives yield ``BLOCK``, leave
 the queue entirely and are re-inserted by :meth:`Scheduler.wake`.
 
 Determinism: the queue breaks ties by insertion sequence (FIFO), and all
@@ -27,7 +31,7 @@ from .. import obs
 from .clock import VirtualClock
 from .errors import DeadlockError, SimulationTimeout
 from .instrument import CostModel, InstrumentationHook, NoopHook
-from .thread import TERMINAL_STATES, SimThread, ThreadState
+from .thread import SimThread, ThreadState
 
 
 class Command:
@@ -36,30 +40,21 @@ class Command:
     __slots__ = ()
 
 
-class Sleep(Command):
-    """Suspend the current thread for ``duration_ms`` of virtual time."""
-
-    __slots__ = ("duration_ms",)
-
-    def __init__(self, duration_ms: float):
-        duration_ms = float(duration_ms)
-        self.duration_ms = duration_ms if duration_ms > 0.0 else 0.0
-
-
 class Block(Command):
     """Remove the current thread from the run queue until woken."""
 
     __slots__ = ()
 
 
-class YieldNow(Command):
-    """Reschedule the current thread at the current time (cooperative yield)."""
+class Queued(Command):
+    """Hand control back after :meth:`Scheduler.sleep_until` declined to
+    run ahead: the thread is already queued, or the run was cut."""
 
     __slots__ = ()
 
 
 BLOCK = Block()
-YIELD = YieldNow()
+QUEUED = Queued()
 
 
 class RunResult:
@@ -147,6 +142,7 @@ class Scheduler:
         self._queue: List[Tuple[float, int, SimThread]] = []
         self._seq = itertools.count()
         self._pushes = 0
+        self._steps = 0
         self._tid_counter = itertools.count(1)
         self.threads: Dict[int, SimThread] = {}
         self.current: Optional[SimThread] = None
@@ -169,14 +165,14 @@ class Scheduler:
         """Create a thread around ``gen`` and make it runnable now."""
         tid = next(self._tid_counter)
         thread = SimThread(tid, name or ("thread-%d" % tid), gen, parent=parent)
-        thread.spawn_time = self.clock.now
+        now = thread.spawn_time = self.clock._now
         thread.state = ThreadState.RUNNABLE
         self.threads[tid] = thread
         self.result.thread_count += 1
-        self._push(thread, self.clock.now)
+        self._push(thread, now)
         if self._fr is not None:
             self._fr.record(
-                "thread_start", self.clock.now, tid=tid, name=thread.name,
+                "thread_start", now, tid=tid, name=thread.name,
                 parent=parent.tid if parent is not None else None,
             )
         self.hook.on_thread_start(thread)
@@ -205,14 +201,12 @@ class Scheduler:
     def run(self) -> RunResult:
         """Drive all threads until completion, deadlock, crash or timeout.
 
-        Run-ahead: when the thread just stepped goes back to sleep with a
-        wake time strictly before the queue head, or the queue is empty,
-        the next pop would hand that same thread straight back. It is
-        stepped again inline instead, skipping the push and pop. A tie
-        with the head goes through the heap, where the older entry wins
-        on ``seq``. Every inline step counts toward ``max_steps`` and
-        passes the same time-limit, stop and context-switch checks, at
-        the same step and virtual time, as a popped one.
+        Each step pops the queue head and resumes that thread until it
+        yields ``BLOCK`` or ``QUEUED``, or ends. A sleep that runs ahead
+        (:meth:`sleep_until`) is a step of its own taken inside the
+        thread, counted toward ``max_steps`` and passing the same
+        time-limit and stop checks, at the same step and virtual time,
+        as a popped one.
         """
         self.hook.on_run_start(self)
         queue = self._queue
@@ -221,39 +215,31 @@ class Scheduler:
         time_limit_ms = self.time_limit_ms
         max_steps = self.max_steps
         step = self._step
-        steps = 0
+        done = ThreadState.DONE
+        failed = ThreadState.FAILED
         try:
             while queue and not self._stopping:
-                steps += 1
-                if steps > max_steps:
+                self._steps += 1
+                if self._steps > max_steps:
                     raise SimulationTimeout(
-                        "exceeded %d scheduler steps" % max_steps, clock.now
+                        "exceeded %d scheduler steps" % max_steps, clock._now
                     )
                 wake_time, _, thread = heapq.heappop(queue)
-                if thread.state in TERMINAL_STATES:
+                state = thread.state
+                if state is done or state is failed:
                     continue
-                while True:
-                    now = clock.advance_to(wake_time)
-                    if now > time_limit_ms:
-                        result.timed_out = True
-                        break
-                    if thread is not self._last_run:
-                        result.context_switches += 1
-                        self._last_run = thread
-                        if self._fr is not None:
-                            self._fr.record("switch", now, tid=thread.tid)
-                    wake_time = step(thread)
-                    if wake_time is None:
-                        break
-                    if self._stopping or (queue and queue[0][0] <= wake_time):
-                        self._push(thread, wake_time)
-                        break
-                    steps += 1
-                    if steps > max_steps:
-                        self._push(thread, wake_time)
-                        raise SimulationTimeout(
-                            "exceeded %d scheduler steps" % max_steps, clock.now
-                        )
+                now = clock._now
+                if wake_time > now:
+                    now = clock._now = wake_time
+                if now > time_limit_ms:
+                    result.timed_out = True
+                    break
+                if thread is not self._last_run:
+                    result.context_switches += 1
+                    self._last_run = thread
+                    if self._fr is not None:
+                        self._fr.record("switch", now, tid=thread.tid)
+                step(thread)
                 if result.timed_out:
                     break
             if not self._stopping and not result.timed_out:
@@ -261,9 +247,9 @@ class Scheduler:
         except SimulationTimeout:
             result.timed_out = True
         finally:
-            result.steps = steps
+            result.steps = self._steps
             result.heap_pushes = self._pushes
-            result.virtual_time = clock.now
+            result.virtual_time = clock._now
             self.hook.on_run_end(self)
             if self._obs is not None:
                 self._obs.c_sched_runs.inc()
@@ -273,40 +259,62 @@ class Scheduler:
             self._close_threads()
         return result
 
-    def _step(self, thread: SimThread) -> Optional[float]:
-        """Resume ``thread`` until its next yield and act on the command.
+    def sleep_until(self, wake: float) -> bool:
+        """Sleep the current thread until virtual time ``wake``.
 
-        Returns the wake time of a thread that went back to sleep (or
-        yielded) without queueing it -- :meth:`run` either steps it again
-        inline or pushes it -- and ``None`` when the thread blocked or
-        terminated.
+        Returns True when the thread may run ahead: ``wake`` is strictly
+        before the queue head (or the queue is empty), so the next pop
+        would hand this same thread straight back. The step is counted
+        and the clock moved to ``wake`` in place, with no push, pop or
+        generator resume. A tie with the head goes through the heap,
+        where the older entry wins on ``seq``.
+
+        Otherwise returns False, and the caller must ``yield QUEUED``:
+        the thread has been queued to wake at ``wake``, or the run was
+        cut here by ``max_steps`` or the time limit.
         """
+        queue = self._queue
+        if self._stopping or (queue and queue[0][0] <= wake):
+            thread = self.current
+            thread.state = ThreadState.SLEEPING
+            self._push(thread, wake)
+            return False
+        self._steps += 1
+        if self._steps > self.max_steps:
+            thread = self.current
+            thread.state = ThreadState.SLEEPING
+            self._push(thread, wake)
+            self.result.timed_out = True
+            return False
+        self.clock._now = wake
+        if wake > self.time_limit_ms:
+            self.result.timed_out = True
+            return False
+        return True
+
+    def _step(self, thread: SimThread) -> None:
+        """Resume ``thread`` until its next yield and act on the command."""
         self.current = thread
         try:
             command = thread.gen.send(None)
         except StopIteration as stop:
             self._finish(thread, result=getattr(stop, "value", None))
-            return None
+            return
         except BaseException as exc:  # noqa: BLE001 - faithful crash capture
             self._fail(thread, exc)
-            return None
+            return
         finally:
             self.current = None
 
-        if isinstance(command, Sleep):
-            thread.state = ThreadState.SLEEPING
-            return self.clock.now + command.duration_ms
+        if command is QUEUED:
+            return
         if isinstance(command, Block):
             thread.state = ThreadState.BLOCKED
-            return None
-        if isinstance(command, YieldNow):
-            thread.state = ThreadState.RUNNABLE
-            return self.clock.now
+            return
         self._fail(
             thread,
             TypeError("thread %r yielded a non-command value: %r" % (thread.name, command)),
         )
-        return None
 
     def _close_threads(self) -> None:
         """Close the generators of threads a stopped run left suspended.
@@ -317,7 +325,7 @@ class Scheduler:
         so whatever ``close()`` raises is discarded.
         """
         for thread in self.threads.values():  # spawn order, i.e. tid order
-            if thread.state in TERMINAL_STATES:
+            if not thread.is_alive:
                 continue
             self.current = thread
             try:

@@ -25,12 +25,8 @@ class ThreadState(enum.Enum):
 
     @property
     def is_terminal(self) -> bool:
-        return self in TERMINAL_STATES
-
-
-#: States a thread never leaves; a membership test is cheaper than the
-#: ``is_terminal`` property on the scheduler's hot path.
-TERMINAL_STATES = frozenset((ThreadState.DONE, ThreadState.FAILED))
+        """DONE or FAILED: states a thread never leaves."""
+        return self is ThreadState.DONE or self is ThreadState.FAILED
 
 
 class SimThread:
@@ -77,7 +73,10 @@ class SimThread:
 
     @property
     def is_alive(self) -> bool:
-        return self.state not in TERMINAL_STATES
+        # Identity tests: ``in`` on a set of enum members runs the
+        # members' Python-level ``__hash__``.
+        state = self.state
+        return state is not ThreadState.DONE and state is not ThreadState.FAILED
 
     def snapshot_stack(self) -> List[str]:
         """Copy of the current call-stack labels (for bug reports)."""

@@ -1,10 +1,12 @@
 """Near-miss tracking: the candidate-generation heuristic."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.candidates import CandidateKind
+from repro.core.candidates import CandidateKind, CandidatePair, GapObservation
 from repro.core.nearmiss import NearMissTracker, TsvNearMissTracker
 from repro.sim.instrument import AccessEvent, AccessType, Location
 
@@ -103,8 +105,7 @@ class TestMemOrderNearMiss:
         tracker = NearMissTracker(window_ms=10.0)
         for i in range(100):
             tracker.observe(ev("use%d" % i, AccessType.USE, tid=1, ts=float(i)))
-        window = tracker._recent[1]
-        assert len(window) <= 12
+        assert len(tracker._uses[1]) <= 12
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -145,3 +146,135 @@ class TestTsvNearMiss:
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             TsvNearMissTracker(window_ms=-5.0)
+
+
+class SingleWindowTracker(NearMissTracker):
+    """The tracker before its windows were split by access type
+    (test-only reference): one window per object holding every INIT,
+    USE and DISPOSE, each closer scanning all of it for its opener."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._recent = {}
+
+    def observe(self, event):
+        if event.access_type is AccessType.UNSAFE_CALL:
+            return self._NO_PAIRS
+        object_id = event.object_id
+        if object_id < 0:
+            return self._NO_PAIRS
+        window = self._recent.get(object_id)
+        if window is None:
+            window = self._recent[object_id] = deque()
+        timestamp = event.timestamp
+        horizon = timestamp - self.window_ms
+        while window and window[0].timestamp < horizon:
+            window.popleft()
+        access_type = event.access_type
+        if not window or access_type is AccessType.INIT:
+            window.append(event)
+            return self._NO_PAIRS
+        if access_type is AccessType.USE:
+            opener, kind = AccessType.INIT, CandidateKind.USE_BEFORE_INIT
+        else:
+            opener, kind = AccessType.USE, CandidateKind.USE_AFTER_FREE
+        added = []
+        for earlier in window:
+            if earlier.access_type is not opener or earlier.thread_id == event.thread_id:
+                continue
+            if self.order_filter is not None and self.order_filter(earlier, event):
+                self.candidates.pruned_parent_child += 1
+                continue
+            pair = CandidatePair(
+                kind=kind, delay_location=earlier.location, other_location=event.location
+            )
+            observation = GapObservation(
+                gap_ms=timestamp - earlier.timestamp,
+                timestamp_first=earlier.timestamp,
+                timestamp_second=timestamp,
+                object_id=object_id,
+                thread_first=earlier.thread_id,
+                thread_second=event.thread_id,
+            )
+            is_new = self.candidates.add(pair, observation)
+            self.pairs_observed += 1
+            if is_new:
+                self.pairs_new += 1
+            if self.on_pair is not None:
+                self.on_pair(pair, is_new)
+            added.append(pair)
+        window.append(event)
+        return added
+
+
+_ACCESS = st.sampled_from(
+    [AccessType.INIT, AccessType.USE, AccessType.DISPOSE, AccessType.UNSAFE_CALL]
+)
+
+
+@st.composite
+def event_streams(draw):
+    """Timestamp-ordered events on a few objects (ties included)."""
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 7.5, 12.0]),
+                _ACCESS,
+                st.integers(-1, 2),
+                st.integers(1, 3),
+                st.integers(0, 3),
+            ),
+            max_size=60,
+        )
+    )
+    events, ts = [], 0.0
+    for index, (gap, access, oid, tid, site) in enumerate(steps):
+        ts += gap
+        events.append(
+            AccessEvent(
+                location=Location("%s%d" % (access.value, site)),
+                access_type=access,
+                object_id=oid,
+                thread_id=tid,
+                timestamp=ts,
+                event_id=index,
+            )
+        )
+    return events
+
+
+def _keys(pairs):
+    return [(p.kind, p.delay_location.site, p.other_location.site) for p in pairs]
+
+
+class TestOpenerWindows:
+    """The per-type opener windows against the single-window reference."""
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    @given(events=event_streams())
+    def test_same_pairs_in_same_order(self, filtered, events):
+        order_filter = (lambda a, b: (a.event_id + b.thread_id) % 3 == 0) if filtered else None
+        sunk = ([], [])
+        trackers = [
+            cls(window_ms=10.0, order_filter=order_filter,
+                on_pair=lambda pair, new, log=log: log.append((pair, new)))
+            for cls, log in zip((NearMissTracker, SingleWindowTracker), sunk)
+        ]
+        for event in events:
+            fast, reference = (_keys(t.observe(event)) for t in trackers)
+            assert fast == reference
+        fast, reference = trackers
+        assert sunk[0] == sunk[1]
+        assert fast.candidates.pruned_parent_child == reference.candidates.pruned_parent_child
+        assert fast.pairs_observed == reference.pairs_observed
+        assert fast.pairs_new == reference.pairs_new
+        assert list(fast.candidates.iter_gap_items()) == list(reference.candidates.iter_gap_items())
+
+    def test_use_window_stays_bounded_without_disposals(self):
+        tracker = NearMissTracker(window_ms=10.0)
+        for i in range(10_000):
+            tracker.observe(ev("use", AccessType.USE, tid=1 + i % 2, ts=i * 0.25))
+        uses = tracker._uses[1]
+        assert len(uses) <= 10.0 / 0.25 + 1
+        assert uses[-1].timestamp - uses[0].timestamp <= 10.0
+        assert 1 not in tracker._inits

@@ -52,13 +52,38 @@ def sleeper(x, seconds):
     return x
 
 
+def counted_square(x):
+    ATTEMPTS[x] = ATTEMPTS.get(x, 0) + 1
+    return x * x
+
+
+#: Supervisors a cell asks to drain (serial cells run in-process).
+DRAINING = []
+
+
+def draining_flaky(x):
+    """Request shutdown, then fail retryably."""
+    ATTEMPTS[x] = ATTEMPTS.get(x, 0) + 1
+    DRAINING[-1].request_shutdown()
+    raise faults.TransientIOFault("transient for %s" % x)
+
+
+def drain_at_two(x):
+    """Succeed, requesting shutdown while computing cell 2."""
+    if x == 2:
+        DRAINING[-1].request_shutdown()
+    return x * x
+
+
 @pytest.fixture(autouse=True)
 def clean_state():
     ATTEMPTS.clear()
+    DRAINING.clear()
     faults.disable()
     supervisor.deactivate()
     yield
     ATTEMPTS.clear()
+    DRAINING.clear()
     faults.disable()
     supervisor.deactivate()
 
@@ -146,15 +171,30 @@ class TestDrain:
         assert time.monotonic() - started < 10.0
 
     def test_drain_finalizes_the_retry_tail_as_failed(self):
-        # Default (interruptible) sleep: with shutdown already requested
-        # the backoff returns immediately and the cell is finalized
-        # failed after its first fault instead of burning the budget.
+        # Default (interruptible) sleep: with shutdown requested during
+        # the first attempt, the backoff returns immediately and the
+        # cell is finalized failed after its first fault instead of
+        # burning the budget.
         sup = Supervisor(policy=RetryPolicy(max_attempts=5, seed=1))
-        sup.request_shutdown()
-        assert sup.map(flaky, [(7, 99)]) == [None]
+        DRAINING.append(sup)
+        assert sup.map(draining_flaky, [(7,)]) == [None]
         assert ATTEMPTS[7] == 1
         assert sup.stats.failed == 1
         assert sup.stats.retried == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shutdown_before_map_starts_no_cell(self, jobs):
+        sup = Supervisor(policy=RetryPolicy(max_attempts=2, seed=1))
+        sup.request_shutdown()
+        assert sup.map(counted_square, [(1,), (2,), (3,)], jobs=jobs) == [None, None, None]
+        assert ATTEMPTS == {}
+        assert (sup.stats.ok, sup.stats.failed, sup.stats.quarantined) == (0, 3, 0)
+
+    def test_shutdown_during_a_cell_stops_the_rest(self):
+        sup = Supervisor(policy=RetryPolicy(max_attempts=2, seed=1))
+        DRAINING.append(sup)
+        assert sup.map(drain_at_two, [(1,), (2,), (3,)]) == [1, 4, None]
+        assert (sup.stats.ok, sup.stats.failed) == (2, 1)
 
 
 class TestRetryAndQuarantine:

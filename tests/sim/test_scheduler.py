@@ -9,7 +9,6 @@ from repro.apps import patterns
 from repro.sim.api import Simulation
 from repro.sim.errors import DeadlockError
 from repro.sim.instrument import CostModel
-from repro.sim.scheduler import Sleep
 
 
 class TestBasicExecution:

@@ -1,12 +1,13 @@
 """Differential test of the scheduler's run-ahead against a heap-only loop.
 
 :class:`ReferenceScheduler` is the scheduler loop without run-ahead:
-every sleep and yield goes through the heap, exactly one push and one
-pop per step. Run-ahead must be invisible: the same event streams
-(site, type, object, thread, timestamp, injected delay, event-id order)
-and the same run results, down to the step count, on random programs,
-on the planted Table 4 bugs under Waffle and WaffleBasic, and on
-generated workloads. Only the number of heap pushes may drop.
+its ``sleep_until`` queues every sleep, so each step is exactly one
+push, one pop and one generator resume. Run-ahead must be invisible:
+the same event streams (site, type, object, thread, timestamp, injected
+delay, event-id order), the same flight-recorder records and the same
+run results, down to the step count, on random programs, on the
+planted Table 4 bugs under Waffle and WaffleBasic, and on generated
+workloads. Only the number of heap pushes may drop.
 """
 
 from __future__ import annotations
@@ -24,16 +25,25 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.core.detector import Waffle
 from repro.gen.oracle import evaluate_spec
 from repro.gen.spec import generate_spec
+from repro.obs import flightrec
 from repro.sim import api
 from repro.sim.api import Simulation
 from repro.sim.errors import SimulationTimeout
 from repro.sim.instrument import InstrumentationHook
 from repro.sim.scheduler import Scheduler
+from repro.sim.thread import ThreadState
 from tests.sim.test_scheduler_properties import programs
 
 
 class ReferenceScheduler(Scheduler):
     """The scheduler loop without run-ahead (test-only)."""
+
+    def sleep_until(self, wake):
+        # Every sleep goes through the heap: one push and one pop per step.
+        thread = self.current
+        thread.state = ThreadState.SLEEPING
+        self._push(thread, wake)
+        return False
 
     def run(self):
         self.hook.on_run_start(self)
@@ -58,9 +68,7 @@ class ReferenceScheduler(Scheduler):
                     self._last_run = thread
                     if self._fr is not None:
                         self._fr.record("switch", self.clock.now, tid=thread.tid)
-                wake_time = self._step(thread)
-                if wake_time is not None:
-                    self._push(thread, wake_time)
+                self._step(thread)
             if not self._stopping and not result.timed_out:
                 self._check_deadlock()
         except SimulationTimeout:
@@ -148,14 +156,45 @@ def capture(base):
         api.Scheduler = original
 
 
-def _differential(drive):
-    """Run ``drive()`` under both loops; returns (fast, reference) logs."""
-    with capture(Scheduler) as fast:
-        drive()
-    with capture(ReferenceScheduler) as reference:
-        drive()
+def _flight_stream(recorder):
+    """The recorder's events with ``seq`` rebased to each run's start
+    and object ids made run-relative (both are process-global)."""
+    stream, base, oids = [], 0, {}
+    for event in recorder.snapshot():
+        event = dict(event)
+        if event["k"] == "run_start":
+            base, oids = event["seq"], {}
+        event["seq"] -= base
+        if "object_id" in event:
+            event["object_id"] = oids.setdefault(event["object_id"], len(oids))
+        stream.append(event)
+    return stream
+
+
+def _differential(drive, flight=False):
+    """Run ``drive()`` under both loops; returns (fast, reference) logs.
+
+    With ``flight``, each loop runs under its own flight recorder and
+    the two recorded event streams must be identical too.
+    """
+    logs, streams = [], []
+    for base in (Scheduler, ReferenceScheduler):
+        recorder = flightrec.install(capacity=1_000_000) if flight else None
+        try:
+            with capture(base) as runs:
+                drive()
+        finally:
+            flightrec.uninstall()
+        logs.append(runs)
+        if recorder is not None:
+            assert recorder.dropped == 0
+            streams.append(_flight_stream(recorder))
+    fast, reference = logs
     assert fast, "the workload ran no simulation"
     assert [summary for summary, _ in fast] == [summary for summary, _ in reference]
+    if flight:
+        assert streams[0], "the flight recorder saw nothing"
+        assert streams[0] == streams[1]
     return fast, reference
 
 
@@ -208,6 +247,11 @@ class TestRandomPrograms:
     def test_time_limit_cut_identical(self, program, seed, limit):
         _differential(_program_run(program, seed, time_limit_ms=limit))
 
+    @given(program=programs(), seed=st.integers(0, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_flight_recorder_stream_identical(self, program, seed):
+        _differential(_program_run(program, seed), flight=True)
+
 
 class TestCutsInsideRunAhead:
     """A lone thread runs ahead for its whole life; cut it partway."""
@@ -232,6 +276,62 @@ class TestCutsInsideRunAhead:
         # Both workers sleep to the same instants: every tie must go
         # to the older heap entry, as without run-ahead.
         _differential(_program_run([[(1.0, 0)] * 5, [(1.0, 0)] * 5], 0))
+
+
+class _DelayEveryThirdOp(InstrumentationHook):
+    """Injects a delay before every third operation, in call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def before_access(self, event):
+        self.calls += 1
+        return 0.7 if self.calls % 3 == 0 else 0.0
+
+
+def _every_site_run(seed, max_steps=None):
+    """Threads that sleep through every site: injected delays and op
+    costs, ``sleep`` (zero and negative too), ``compute``, ``pause``,
+    and the durations of ``call`` and ``unsafe_call``."""
+
+    def drive():
+        sim = Simulation(seed=seed, hook=_DelayEveryThirdOp())
+        if max_steps is not None:
+            sim.scheduler.max_steps = max_steps
+        shared = sim.ref("shared")
+        table = sim.unsafe_dict()
+
+        def worker(index):
+            for step in range(4):
+                yield from sim.compute(0.4 + 0.1 * index)
+                yield from sim.pause()
+                yield from sim.call(shared, "Run", loc="site.call:%d" % index, duration=0.3)
+                yield from sim.sleep(0.0 if step % 2 else -1.0)
+                yield from sim.unsafe_call(
+                    table, "add", (index, step), step, loc="site.add:%d" % index, duration=0.2
+                )
+                yield from sim.sleep(0.5 * index)
+
+        def main(sim):
+            yield from sim.assign(shared, sim.new("T"), loc="site.init")
+            threads = [sim.fork(worker(i), name="w%d" % i) for i in range(3)]
+            yield from sim.join_all(threads)
+
+        sim.run(main(sim))
+
+    return drive
+
+
+class TestEverySleepingSite:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_to_reference(self, seed):
+        _differential(_every_site_run(seed), flight=True)
+
+    @pytest.mark.parametrize("max_steps", [5, 17, 40, 90])
+    def test_max_steps_cut_identical(self, max_steps):
+        fast, _ = _differential(_every_site_run(1, max_steps=max_steps), flight=True)
+        assert fast[0][0]["timed_out"]
 
 
 def _sessions(bugs, attempt_seed, budget):
@@ -269,6 +369,23 @@ class TestPlantedBugs:
         reference_pushes = sum(pushes for _, pushes in reference)
         assert reference_pushes > 0
         assert fast_pushes * 2 <= reference_pushes
+
+
+class TestFlightRecorded:
+    """Per-step records (context switches, thread starts and ends,
+    near misses, injected delays) under run-ahead match the heap-only
+    loop's record for record."""
+
+    def test_planted_bugs(self):
+        _differential(_sessions(all_bugs(), attempt_seed=1, budget=20), flight=True)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_generated_workloads(self, seed):
+        spec = generate_spec(seed)
+        _differential(
+            lambda: evaluate_spec(spec, DEFAULT_CONFIG, budget=8, check_replay=True),
+            flight=True,
+        )
 
 
 class TestGeneratedWorkloads:
